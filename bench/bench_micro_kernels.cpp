@@ -39,18 +39,26 @@ SparseTensor bench_tensor() {
   return t;
 }
 
+// The cuADMM GEMM shape, I x R times R x R; reports FLOP/s at 2*I*R^2 flops
+// per call, the host kernel floor of the UPDATE phase.
 void BM_GemmTallSkinny(benchmark::State& state) {
-  const index_t rows = state.range(0), rank = 32;
+  const index_t rows = state.range(0), rank = state.range(1);
   const Matrix a = random_matrix(rows, rank, 1);
   const Matrix b = random_matrix(rank, rank, 2);
   Matrix c(rows, rank);
   for (auto _ : state) {
     la::gemm(la::Op::kNone, la::Op::kNone, 1.0, a, b, 0.0, c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * rows * rank * rank * 2);
+  state.counters["FLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(rows * rank * rank),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_GemmTallSkinny)->Arg(1 << 12)->Arg(1 << 15);
+BENCHMARK(BM_GemmTallSkinny)
+    ->ArgsProduct({{1 << 12, 1 << 15}, {16, 32, 64}})
+    ->ArgNames({"rows", "R"})
+    ->UseRealTime();  // gemm runs on every pool worker
 
 void BM_Gram(benchmark::State& state) {
   const Matrix a = random_matrix(state.range(0), 32, 3);

@@ -3,7 +3,8 @@
 # negative self-test), then the full test suite twice — a plain
 # RelWithDebInfo build, then an ASan+UBSan build (-DCSTF_SANITIZE=ON). Any
 # doc drift, compile error, test failure, or sanitizer report fails the
-# script.
+# script. After the plain pass, the kernels-labeled group (la + updates)
+# runs again under CSTF_THREADS=1.
 #
 # After the plain pass, a perf-smoke step runs the scatter-engine and
 # MTTKRP-engine fixtures (bench_host_wallclock --smoke): it fails if the
@@ -45,6 +46,11 @@ echo "=== pass 1/2: plain build + ctest"
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+echo "=== kernels group at one thread (thread-count matrix, first slice)"
+# The host kernels must give the same bits at any worker count; the plain
+# pass above ran them at the default (nproc) count.
+CSTF_THREADS=1 ctest --test-dir build -L kernels --output-on-failure
 
 if [ "${CSTF_CHECK_SKIP_PERF:-0}" = "1" ]; then
   echo "=== perf smoke skipped (CSTF_CHECK_SKIP_PERF=1)"

@@ -1,6 +1,9 @@
 #include "la/blas.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
@@ -16,34 +19,202 @@ index_t op_cols(const Matrix& a, Op op) {
 
 namespace {
 
-// Core kernels, one per (op_a, op_b) combination, column-parallel over C.
-// The factor-matrix shapes in cSTF are tall-skinny (I x R with small R), so
-// parallelizing across C's columns when C is RxR would starve the pool; the
-// NN kernel therefore parallelizes across C's rows in blocks instead when C
-// is tall.
+// NN/NT kernel: a register-blocked micro-kernel over tiles of kTileRows(V) x
+// kTileCols elements of C, written once with GCC vector extensions and
+// compiled for several instruction sets (see detail::GemmIsa).
+//
+// Bitwise contract (every variant, every tile position, every shape): each
+// C(i,j) starts from 0 (beta == 0), C(i,j) (beta == 1) or beta*C(i,j), then
+// takes `+= (alpha*b(l,j)) * a(i,l)` for l ascending, skipping the terms
+// whose alpha*b(l,j) == 0 — the operation sequence of a plain column-axpy
+// loop. So a row of C never depends on the rows around it (the serve
+// batched-vs-single fold-in parity relies on this). The multiply and the add
+// stay separate IEEE operations because cstf_la builds with
+// -ffp-contract=off; without it the AVX-512 variant contracts them into FMA.
 
-void gemm_nn(real_t alpha, const Matrix& a, const Matrix& b, real_t beta,
-             Matrix& c) {
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  // C(:,j) = beta*C(:,j) + alpha * sum_l A(:,l) * B(l,j): axpy over columns,
-  // fully sequential memory access in A and C. Parallel over row blocks of C
-  // so tall C (m >> n) still spreads across workers.
-  parallel_for_blocked(0, m, [&](index_t lo, index_t hi) {
-    for (index_t j = 0; j < n; ++j) {
-      real_t* cj = c.col(j);
-      if (beta == 0.0) {
-        for (index_t i = lo; i < hi; ++i) cj[i] = 0.0;
-      } else if (beta != 1.0) {
-        for (index_t i = lo; i < hi; ++i) cj[i] *= beta;
-      }
-      for (index_t l = 0; l < k; ++l) {
-        const real_t ab = alpha * b(l, j);
-        if (ab == 0.0) continue;
-        const real_t* al = a.col(l);
-        for (index_t i = lo; i < hi; ++i) cj[i] += ab * al[i];
+using v2d = double __attribute__((vector_size(16)));
+#if defined(__x86_64__) && defined(__GNUC__)
+using v4d = double __attribute__((vector_size(32)));
+using v8d = double __attribute__((vector_size(64)));
+#endif
+
+constexpr index_t kTileCols = 4;
+// Rows per parallel work unit; a multiple of every variant's tile height.
+constexpr index_t kRowBlock = 16;
+
+template <class V>
+constexpr index_t kTileRows = 2 * static_cast<index_t>(sizeof(V) / sizeof(real_t));
+
+// Unaligned vector load/store. Vectors pass by reference: a vector passed by
+// value would change the ABI between the variants (-Wpsabi).
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const real_t* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store(real_t* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+struct GemmArgs {
+  index_t m = 0, n = 0, k = 0;
+  const real_t* a = nullptr;  // m x k, column-major, leading dimension m
+  // alpha*op(B) staged in kTileCols-wide column panels, zero-padded past
+  // column n: bs[(t*k + l)*kTileCols + j] = alpha*op(B)(l, t*kTileCols + j).
+  const real_t* bs = nullptr;
+  real_t beta = 0.0;
+  real_t* c = nullptr;  // m x n, column-major, leading dimension m
+};
+
+// One full tile: `a` at A(i0, 0) (column stride lda), `bs` at the tile's
+// staged panel, `c` at C(i0, j0) (column stride ldc).
+template <class V>
+[[gnu::always_inline]] inline void gemm_tile(index_t k, const real_t* a,
+                                             index_t lda, const real_t* bs,
+                                             real_t beta, real_t* c,
+                                             index_t ldc) {
+  constexpr index_t kLanes = kTileRows<V> / 2;
+  V acc[kTileCols][2];
+#pragma GCC unroll 8
+  for (index_t j = 0; j < kTileCols; ++j) {
+    if (beta == 0.0) {
+      acc[j][0] = V{};
+      acc[j][1] = V{};
+    } else {
+      load(acc[j][0], c + j * ldc);
+      load(acc[j][1], c + j * ldc + kLanes);
+      if (beta != 1.0) {
+        acc[j][0] *= beta;
+        acc[j][1] *= beta;
       }
     }
-  });
+  }
+  for (index_t l = 0; l < k; ++l) {
+    V a0, a1;
+    load(a0, a + l * lda);
+    load(a1, a + l * lda + kLanes);
+    const real_t* bl = bs + l * kTileCols;
+#pragma GCC unroll 8
+    for (index_t j = 0; j < kTileCols; ++j) {
+      const real_t ab = bl[j];
+      if (ab == 0.0) continue;
+      acc[j][0] += ab * a0;
+      acc[j][1] += ab * a1;
+    }
+  }
+#pragma GCC unroll 8
+  for (index_t j = 0; j < kTileCols; ++j) {
+    store(c + j * ldc, acc[j][0]);
+    store(c + j * ldc + kLanes, acc[j][1]);
+  }
+}
+
+// Rows [lo, hi) of C. Edge tiles (a row tail or a column tail) run the same
+// tile code on zero-padded local copies of A and C; padded B columns are
+// zero, so they are skipped like any other zero term.
+template <class V>
+[[gnu::always_inline]] inline void gemm_rows(const GemmArgs& g, index_t lo,
+                                             index_t hi) {
+  constexpr index_t kRows = kTileRows<V>;
+  const index_t panels = (g.n + kTileCols - 1) / kTileCols;
+  std::vector<real_t> a_pad;
+  alignas(64) real_t c_pad[kRows * kTileCols];
+  for (index_t i0 = lo; i0 < hi; i0 += kRows) {
+    const index_t rows = std::min(kRows, hi - i0);
+    const real_t* a = g.a + i0;
+    index_t lda = g.m;
+    if (rows < kRows) {
+      a_pad.assign(static_cast<std::size_t>(kRows * g.k), 0.0);
+      for (index_t l = 0; l < g.k; ++l) {
+        std::copy_n(g.a + l * g.m + i0, rows, a_pad.data() + l * kRows);
+      }
+      a = a_pad.data();
+      lda = kRows;
+    }
+    for (index_t t = 0; t < panels; ++t) {
+      const index_t j0 = t * kTileCols;
+      const index_t cols = std::min(kTileCols, g.n - j0);
+      const real_t* bs = g.bs + t * g.k * kTileCols;
+      real_t* c = g.c + j0 * g.m + i0;
+      if (rows == kRows && cols == kTileCols) {
+        gemm_tile<V>(g.k, a, lda, bs, g.beta, c, g.m);
+        continue;
+      }
+      std::fill_n(c_pad, kRows * kTileCols, 0.0);
+      for (index_t j = 0; j < cols; ++j) {
+        std::copy_n(c + j * g.m, rows, c_pad + j * kRows);
+      }
+      gemm_tile<V>(g.k, a, lda, bs, g.beta, c_pad, kRows);
+      for (index_t j = 0; j < cols; ++j) {
+        std::copy_n(c_pad + j * kRows, rows, c + j * g.m);
+      }
+    }
+  }
+}
+
+void gemm_rows_portable(const GemmArgs& g, index_t lo, index_t hi) {
+  gemm_rows<v2d>(g, lo, hi);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+[[gnu::target("avx2")]] void gemm_rows_avx2(const GemmArgs& g, index_t lo,
+                                            index_t hi) {
+  gemm_rows<v4d>(g, lo, hi);
+}
+
+[[gnu::target("avx512f")]] void gemm_rows_avx512f(const GemmArgs& g,
+                                                  index_t lo, index_t hi) {
+  gemm_rows<v8d>(g, lo, hi);
+}
+#endif
+
+using GemmRowsFn = void (*)(const GemmArgs&, index_t, index_t);
+
+GemmRowsFn gemm_rows_fn(detail::GemmIsa isa) {
+  CSTF_CHECK_MSG(detail::gemm_isa_supported(isa),
+                 "gemm micro-kernel not supported on this CPU");
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa == detail::GemmIsa::kAvx512f) return gemm_rows_avx512f;
+  if (isa == detail::GemmIsa::kAvx2) return gemm_rows_avx2;
+#endif
+  return gemm_rows_portable;
+}
+
+detail::GemmIsa widest_supported_isa() {
+  for (auto isa : {detail::GemmIsa::kAvx512f, detail::GemmIsa::kAvx2}) {
+    if (detail::gemm_isa_supported(isa)) return isa;
+  }
+  return detail::GemmIsa::kPortable;
+}
+
+// C = alpha * A * op(B) + beta * C for op(B) in {B, B^T}.
+void gemm_nx(detail::GemmIsa isa, Op op_b, real_t alpha, const Matrix& a,
+             const Matrix& b, real_t beta, Matrix& c) {
+  GemmArgs g;
+  g.m = c.rows();
+  g.n = c.cols();
+  g.k = a.cols();
+  if (g.m == 0 || g.n == 0) return;
+  const index_t panels = (g.n + kTileCols - 1) / kTileCols;
+  std::vector<real_t> bs(static_cast<std::size_t>(panels * g.k * kTileCols),
+                         0.0);
+  for (index_t j = 0; j < g.n; ++j) {
+    real_t* panel = bs.data() + (j / kTileCols) * g.k * kTileCols + j % kTileCols;
+    for (index_t l = 0; l < g.k; ++l) {
+      panel[l * kTileCols] = alpha * (op_b == Op::kNone ? b(l, j) : b(j, l));
+    }
+  }
+  g.a = a.data();
+  g.bs = bs.data();
+  g.beta = beta;
+  g.c = c.data();
+  const GemmRowsFn rows_fn = gemm_rows_fn(isa);
+  // Parallel over row blocks of C, so tall C (m >> n) spreads across workers.
+  const index_t blocks = (g.m + kRowBlock - 1) / kRowBlock;
+  parallel_for_blocked(0, blocks, [&](index_t lo, index_t hi) {
+    rows_fn(g, lo * kRowBlock, std::min(hi * kRowBlock, g.m));
+  }, /*grain=*/kParallelGrainDefault / kRowBlock);
 }
 
 void gemm_tn(real_t alpha, const Matrix& a, const Matrix& b, real_t beta,
@@ -61,28 +232,6 @@ void gemm_tn(real_t alpha, const Matrix& a, const Matrix& b, real_t beta,
       cj[i] = alpha * acc + (beta == 0.0 ? 0.0 : beta * cj[i]);
     }
   }, /*grain=*/1);
-}
-
-void gemm_nt(real_t alpha, const Matrix& a, const Matrix& b, real_t beta,
-             Matrix& c) {
-  // C = alpha * A * B^T: axpy formulation, row-blocked like NN.
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  parallel_for_blocked(0, m, [&](index_t lo, index_t hi) {
-    for (index_t j = 0; j < n; ++j) {
-      real_t* cj = c.col(j);
-      if (beta == 0.0) {
-        for (index_t i = lo; i < hi; ++i) cj[i] = 0.0;
-      } else if (beta != 1.0) {
-        for (index_t i = lo; i < hi; ++i) cj[i] *= beta;
-      }
-      for (index_t l = 0; l < k; ++l) {
-        const real_t ab = alpha * b(j, l);
-        if (ab == 0.0) continue;
-        const real_t* al = a.col(l);
-        for (index_t i = lo; i < hi; ++i) cj[i] += ab * al[i];
-      }
-    }
-  });
 }
 
 void gemm_tt(real_t alpha, const Matrix& a, const Matrix& b, real_t beta,
@@ -110,11 +259,38 @@ void gemm(Op op_a, Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
                                      << op_rows(b, op_b));
   CSTF_CHECK_MSG(c.rows() == op_rows(a, op_a) && c.cols() == op_cols(b, op_b),
                  "gemm output shape " << c.rows() << "x" << c.cols());
-  if (op_a == Op::kNone && op_b == Op::kNone) return gemm_nn(alpha, a, b, beta, c);
-  if (op_a == Op::kTranspose && op_b == Op::kNone) return gemm_tn(alpha, a, b, beta, c);
-  if (op_a == Op::kNone && op_b == Op::kTranspose) return gemm_nt(alpha, a, b, beta, c);
+  if (op_a == Op::kNone) {
+    static const detail::GemmIsa isa = widest_supported_isa();
+    return gemm_nx(isa, op_b, alpha, a, b, beta, c);
+  }
+  if (op_b == Op::kNone) return gemm_tn(alpha, a, b, beta, c);
   return gemm_tt(alpha, a, b, beta, c);
 }
+
+namespace detail {
+
+bool gemm_isa_supported(GemmIsa isa) {
+  switch (isa) {
+    case GemmIsa::kPortable: return true;
+#if defined(__x86_64__) && defined(__GNUC__)
+    case GemmIsa::kAvx2: return __builtin_cpu_supports("avx2");
+    case GemmIsa::kAvx512f: return __builtin_cpu_supports("avx512f");
+#else
+    case GemmIsa::kAvx2:
+    case GemmIsa::kAvx512f: return false;
+#endif
+  }
+  return false;
+}
+
+void gemm_nn(GemmIsa isa, real_t alpha, const Matrix& a, const Matrix& b,
+             real_t beta, Matrix& c) {
+  CSTF_CHECK(a.cols() == b.rows() && c.rows() == a.rows() &&
+             c.cols() == b.cols());
+  gemm_nx(isa, Op::kNone, alpha, a, b, beta, c);
+}
+
+}  // namespace detail
 
 void gram(const Matrix& a, Matrix& s) {
   const index_t r = a.cols();

@@ -25,6 +25,22 @@ index_t op_cols(const Matrix& a, Op op);
 void gemm(Op op_a, Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
           real_t beta, Matrix& c);
 
+namespace detail {
+
+/// Instruction sets the op(A) = A micro-kernel of gemm() is compiled for;
+/// gemm() runs the widest one the CPU supports. Every variant yields
+/// bitwise-identical C (DESIGN.md §5); they are named here so tests can
+/// compare them.
+enum class GemmIsa { kPortable, kAvx2, kAvx512f };
+
+bool gemm_isa_supported(GemmIsa isa);
+
+/// gemm(kNone, kNone, ...) on the given variant; throws if the CPU lacks it.
+void gemm_nn(GemmIsa isa, real_t alpha, const Matrix& a, const Matrix& b,
+             real_t beta, Matrix& c);
+
+}  // namespace detail
+
 /// Gram matrix: S = A^T * A (S is cols(A) x cols(A), full storage).
 /// Exploits symmetry: computes the upper triangle and mirrors it.
 void gram(const Matrix& a, Matrix& s);

@@ -18,6 +18,10 @@
 //    or block-reduce, so the restriction never binds.
 //  * `ctx.shared` is a per-block scratch buffer of `shmem_reals` real_t,
 //    zeroed at block start.
+//
+// Elementwise kernels use launch_elementwise instead, which hands the body
+// contiguous chunks of the index space rather than one simulated thread at
+// a time; both record the same modeled launch.
 #pragma once
 
 #include <algorithm>
@@ -86,6 +90,30 @@ void launch(Device& device, const std::string& kernel_name, LaunchConfig cfg,
     }
   }, /*grain=*/1);
   device.record(kernel_name, stats, wall.seconds(), cfg.stream);
+}
+
+/// Elements per tile of launch_elementwise: every chunk its body receives
+/// starts on a multiple of this and ends on one (or at n), so a body keeping
+/// one partial result per tile gets the same tiles at any worker count.
+inline constexpr index_t kElementwiseTile = 2048;
+
+/// Elementwise launch, the host form of a grid-stride kernel over n items:
+/// runs `body(lo, hi)` over contiguous chunks covering [0, n) on the host
+/// workers, so the body can vectorize over its chunk, then records `stats`
+/// (launches auto-filled if left 0) under `kernel_name` on `stream` exactly
+/// as launch() does. The modeled cost comes from `stats` alone; the caller
+/// fills parallel_items.
+template <typename Body>
+void launch_elementwise(Device& device, const std::string& kernel_name,
+                        index_t n, KernelStats stats, Stream stream,
+                        const Body& body) {
+  if (stats.launches == 0) stats.launches = 1;
+  Timer wall;
+  const index_t tiles = (n + kElementwiseTile - 1) / kElementwiseTile;
+  parallel_for_blocked(0, tiles, [&](index_t lo, index_t hi) {
+    body(lo * kElementwiseTile, std::min(hi * kElementwiseTile, n));
+  }, /*grain=*/1);
+  device.record(kernel_name, stats, wall.seconds(), stream);
 }
 
 /// Grid-stride helper: number of blocks covering `n` items with `block_dim`

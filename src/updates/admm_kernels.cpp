@@ -1,21 +1,16 @@
 #include "updates/admm_kernels.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hpp"
-#include "parallel/atomic.hpp"
 #include "simgpu/launch.hpp"
 
 namespace cstf {
 
 namespace {
 
-constexpr index_t kBlockDim = 256;
-
-simgpu::LaunchConfig config_for(index_t n, simgpu::Stream stream = {}) {
-  return simgpu::LaunchConfig{.grid_dim = simgpu::blocks_for(n, kBlockDim, 2048),
-                              .block_dim = kBlockDim,
-                              .shmem_reals = 4,
-                              .stream = stream};
-}
+constexpr index_t kTile = simgpu::kElementwiseTile;
 
 simgpu::KernelStats elementwise_stats(index_t n, double reads, double writes,
                                       double flops_per_elem) {
@@ -25,6 +20,15 @@ simgpu::KernelStats elementwise_stats(index_t n, double reads, double writes,
   stats.bytes_streamed = dn * (reads + writes) * simgpu::kWord;
   stats.parallel_items = dn;
   return stats;
+}
+
+// The residual reductions: each tile's sum runs serially in index order and
+// the tile sums combine in tile order, so the result is the same at every
+// worker count (launch_elementwise chunks never split a tile).
+real_t sum_in_order(const std::vector<real_t>& partial) {
+  real_t sum = 0.0;
+  for (real_t p : partial) sum += p;
+  return sum;
 }
 
 }  // namespace
@@ -40,13 +44,11 @@ void kernel_compute_auxiliary(simgpu::Device& dev, const Matrix& m,
   const real_t* ph = h.data();
   const real_t* pu = u.data();
   real_t* pt = t.data();
-  simgpu::launch(dev, "admm_compute_auxiliary", config_for(n, stream),
-                 elementwise_stats(n, 3, 1, 3),
-                 [&](const simgpu::KernelCtx& ctx) {
-    for (index_t i = ctx.global_thread_id(); i < n; i += ctx.total_threads()) {
-      pt[i] = pm[i] + rho * (ph[i] + pu[i]);
-    }
-  });
+  simgpu::launch_elementwise(
+      dev, "admm_compute_auxiliary", n, elementwise_stats(n, 3, 1, 3), stream,
+      [&](index_t lo, index_t hi) {
+        for (index_t i = lo; i < hi; ++i) pt[i] = pm[i] + rho * (ph[i] + pu[i]);
+      });
 }
 
 void kernel_apply_proximity(simgpu::Device& dev, const Proximity& prox,
@@ -63,26 +65,26 @@ void kernel_apply_proximity(simgpu::Device& dev, const Proximity& prox,
   const real_t* pt = t.data();
   const real_t* pu = u.data();
   real_t* ph = h.data();
-  const real_t inv_rho = 1.0 / rho;
-  *delta_h_sq = 0.0;
-  real_t* out_sq = delta_h_sq;
-  simgpu::launch(dev, "admm_apply_proximity", config_for(n, stream),
-                 elementwise_stats(n, 3, 1, 4),
-                 [&](const simgpu::KernelCtx& ctx) {
-    if (ctx.thread_idx == 0) ctx.shared[0] = 0.0;
-    real_t local = 0.0;
-    for (index_t i = ctx.global_thread_id(); i < n; i += ctx.total_threads()) {
-      const real_t old_h = ph[i];
-      const real_t new_h = prox.apply_scalar(pt[i] - pu[i], inv_rho);
-      ph[i] = new_h;
-      const real_t d = new_h - old_h;
-      local += d * d;
-    }
-    ctx.shared[0] += local;
-    if (ctx.thread_idx == ctx.block_dim - 1) {
-      atomic_add(out_sq, ctx.shared[0]);
-    }
+  std::vector<real_t> partial(static_cast<std::size_t>((n + kTile - 1) / kTile));
+  prox.with_scalar_map(1.0 / rho, [&](auto map) {
+    simgpu::launch_elementwise(
+        dev, "admm_apply_proximity", n, elementwise_stats(n, 3, 1, 4), stream,
+        [&](index_t lo, index_t hi) {
+          for (index_t t0 = lo; t0 < hi; t0 += kTile) {
+            const index_t t1 = std::min(t0 + kTile, hi);
+            real_t sq = 0.0;
+            for (index_t i = t0; i < t1; ++i) {
+              const real_t old_h = ph[i];
+              const real_t new_h = map(pt[i] - pu[i]);
+              ph[i] = new_h;
+              const real_t d = new_h - old_h;
+              sq += d * d;
+            }
+            partial[static_cast<std::size_t>(t0 / kTile)] = sq;
+          }
+        });
   });
+  *delta_h_sq = sum_in_order(partial);
 }
 
 void kernel_dual_update(simgpu::Device& dev, const Matrix& h, const Matrix& t,
@@ -93,38 +95,31 @@ void kernel_dual_update(simgpu::Device& dev, const Matrix& h, const Matrix& t,
   const real_t* ph = h.data();
   const real_t* pt = t.data();
   real_t* pu = u.data();
-  *primal_sq = 0.0;
-  *h_sq = 0.0;
-  *u_sq = 0.0;
-  real_t* out_primal = primal_sq;
-  real_t* out_h = h_sq;
-  real_t* out_u = u_sq;
-  simgpu::launch(dev, "admm_dual_update", config_for(n, stream),
-                 elementwise_stats(n, 3, 1, 8),
-                 [&](const simgpu::KernelCtx& ctx) {
-    if (ctx.thread_idx == 0) {
-      ctx.shared[0] = 0.0;
-      ctx.shared[1] = 0.0;
-      ctx.shared[2] = 0.0;
-    }
-    real_t lp = 0.0, lh = 0.0, lu = 0.0;
-    for (index_t i = ctx.global_thread_id(); i < n; i += ctx.total_threads()) {
-      const real_t diff = ph[i] - pt[i];
-      const real_t nu = pu[i] + diff;
-      pu[i] = nu;
-      lp += diff * diff;
-      lh += ph[i] * ph[i];
-      lu += nu * nu;
-    }
-    ctx.shared[0] += lp;
-    ctx.shared[1] += lh;
-    ctx.shared[2] += lu;
-    if (ctx.thread_idx == ctx.block_dim - 1) {
-      atomic_add(out_primal, ctx.shared[0]);
-      atomic_add(out_h, ctx.shared[1]);
-      atomic_add(out_u, ctx.shared[2]);
-    }
-  });
+  const auto tiles = static_cast<std::size_t>((n + kTile - 1) / kTile);
+  std::vector<real_t> partial_primal(tiles), partial_h(tiles), partial_u(tiles);
+  simgpu::launch_elementwise(
+      dev, "admm_dual_update", n, elementwise_stats(n, 3, 1, 8), stream,
+      [&](index_t lo, index_t hi) {
+        for (index_t t0 = lo; t0 < hi; t0 += kTile) {
+          const index_t t1 = std::min(t0 + kTile, hi);
+          real_t lp = 0.0, lh = 0.0, lu = 0.0;
+          for (index_t i = t0; i < t1; ++i) {
+            const real_t diff = ph[i] - pt[i];
+            const real_t nu = pu[i] + diff;
+            pu[i] = nu;
+            lp += diff * diff;
+            lh += ph[i] * ph[i];
+            lu += nu * nu;
+          }
+          const auto tile = static_cast<std::size_t>(t0 / kTile);
+          partial_primal[tile] = lp;
+          partial_h[tile] = lh;
+          partial_u[tile] = lu;
+        }
+      });
+  *primal_sq = sum_in_order(partial_primal);
+  *h_sq = sum_in_order(partial_h);
+  *u_sq = sum_in_order(partial_u);
 }
 
 }  // namespace cstf

@@ -31,13 +31,9 @@ void HalsUpdate::update(simgpu::Device& dev, const Matrix& s, const Matrix& m,
       const real_t* sr = s.col(r);
       const real_t* mr = m.col(r);
       real_t* hr = h.col(r);
-      simgpu::launch(
-          dev, "hals_column",
-          simgpu::LaunchConfig{.grid_dim = simgpu::blocks_for(rows, 256, 2048),
-                               .block_dim = 256},
-          stats, [&](const simgpu::KernelCtx& ctx) {
-            for (index_t i = ctx.global_thread_id(); i < rows;
-                 i += ctx.total_threads()) {
+      simgpu::launch_elementwise(
+          dev, "hals_column", rows, stats, {}, [&](index_t lo, index_t hi) {
+            for (index_t i = lo; i < hi; ++i) {
               real_t dot = 0.0;
               for (index_t k = 0; k < rank; ++k) dot += h(i, k) * sr[k];
               hr[i] = std::max(eps, hr[i] + (mr[i] - dot) / srr);

@@ -29,13 +29,9 @@ void MuUpdate::update(simgpu::Device& dev, const Matrix& s, const Matrix& m,
     real_t* ph = h.data();
     const real_t* pm = m.data();
     const real_t* pd = denom.data();
-    simgpu::launch(
-        dev, "mu_elementwise",
-        simgpu::LaunchConfig{.grid_dim = simgpu::blocks_for(n, 256, 2048),
-                             .block_dim = 256},
-        stats, [&](const simgpu::KernelCtx& ctx) {
-          for (index_t i = ctx.global_thread_id(); i < n;
-               i += ctx.total_threads()) {
+    simgpu::launch_elementwise(
+        dev, "mu_elementwise", n, stats, {}, [&](index_t lo, index_t hi) {
+          for (index_t i = lo; i < hi; ++i) {
             ph[i] = ph[i] * pm[i] / std::max(pd[i], eps);
           }
         });

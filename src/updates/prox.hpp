@@ -7,8 +7,10 @@
 // (Section 4.3.1).
 #pragma once
 
+#include <algorithm>
 #include <string>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "la/matrix.hpp"
 
@@ -80,6 +82,37 @@ class Proximity {
   /// The scalar map for elementwise kinds. `scale` divides the L1 threshold
   /// by the ADMM step size (the prox of (lambda/rho)*||.||_1).
   real_t apply_scalar(real_t x, real_t rho_scale) const;
+
+  /// Calls `body(map)` once, `map` being apply_scalar(., rho_scale) as a
+  /// callable `real_t(real_t)` of this kind, so a loop over many elements
+  /// dispatches on the kind once instead of per element. Throws for a
+  /// non-elementwise kind.
+  template <typename Body>
+  void with_scalar_map(real_t rho_scale, const Body& body) const {
+    switch (kind_) {
+      case ProxKind::kIdentity:
+        return body([](real_t x) { return x; });
+      case ProxKind::kNonNegative:
+        return body([](real_t x) { return x > 0.0 ? x : 0.0; });
+      case ProxKind::kL1:
+        return body([t = a_ * rho_scale](real_t x) {
+          return x > t ? x - t : (x < -t ? x + t : 0.0);
+        });
+      case ProxKind::kL1NonNegative:
+        return body([t = a_ * rho_scale](real_t x) {
+          return x > t ? x - t : 0.0;
+        });
+      case ProxKind::kBox:
+        return body([lo = a_, hi = b_](real_t x) {
+          return std::clamp(x, lo, hi);
+        });
+      case ProxKind::kL2Ball:
+      case ProxKind::kSimplex:
+      case ProxKind::kSmooth:
+        break;  // not elementwise
+    }
+    CSTF_CHECK_MSG(false, "apply_scalar on non-elementwise prox");
+  }
 
   /// Applies the operator to a full matrix in place (used by the unfused
   /// baseline path and by non-ADMM callers; rho_scale as above).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/random.hpp"
@@ -141,6 +142,115 @@ TEST(Gemm, TallSkinnyShapesUsedByCstf) {
   const Matrix want =
       reference_gemm(Op::kNone, Op::kNone, 1.0, h, inv, 0.0, out);
   EXPECT_LT(max_abs_diff(out, want), 1e-10);
+}
+
+// A plain column-axpy loop: the oracle for the bitwise contract of the
+// gemm micro-kernel (DESIGN.md §5, decision 6).
+void axpy_gemm_oracle(Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
+                      real_t beta, Matrix& c) {
+  const index_t m = c.rows(), n = c.cols(), k = a.cols();
+  for (index_t j = 0; j < n; ++j) {
+    real_t* cj = c.col(j);
+    if (beta == 0.0) {
+      for (index_t i = 0; i < m; ++i) cj[i] = 0.0;
+    } else if (beta != 1.0) {
+      for (index_t i = 0; i < m; ++i) cj[i] *= beta;
+    }
+    for (index_t l = 0; l < k; ++l) {
+      const real_t ab = alpha * (op_b == Op::kNone ? b(l, j) : b(j, l));
+      if (ab == 0.0) continue;
+      const real_t* al = a.col(l);
+      for (index_t i = 0; i < m; ++i) cj[i] += ab * al[i];
+    }
+  }
+}
+
+bool bitwise_equal(const Matrix& x, const Matrix& y) {
+  if (!x.same_shape(y)) return false;
+  return x.size() == 0 ||  // an empty Matrix's data() may be null
+         std::memcmp(x.data(), y.data(),
+                     static_cast<std::size_t>(x.size()) * sizeof(real_t)) == 0;
+}
+
+std::vector<la::detail::GemmIsa> supported_gemm_isas() {
+  std::vector<la::detail::GemmIsa> isas;
+  for (auto isa : {la::detail::GemmIsa::kPortable, la::detail::GemmIsa::kAvx2,
+                   la::detail::GemmIsa::kAvx512f}) {
+    if (la::detail::gemm_isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+// B with +0 and -0 entries, whose terms the contract skips.
+Matrix signed_zero_b(index_t rows, index_t cols, std::uint64_t seed) {
+  Matrix b = random_matrix(rows, cols, seed);
+  for (index_t i = 0; i < b.size(); ++i) {
+    if (i % 3 == 1) b.data()[i] = 0.0;
+    if (i % 5 == 2) b.data()[i] = -0.0;
+  }
+  return b;
+}
+
+TEST(Gemm, MicroKernelIsBitwiseTheAxpyLoop) {
+  const std::vector<la::detail::GemmIsa> isas = supported_gemm_isas();
+  ASSERT_EQ(isas.front(), la::detail::GemmIsa::kPortable);
+  for (index_t m : {0, 1, 7, 15, 16, 17, 33, 26636}) {
+    for (index_t k : {1, 5, 32}) {
+      const Matrix a = random_matrix(m, k, 10 + static_cast<std::uint64_t>(k));
+      for (index_t n : {1, 3, 32, 33}) {
+        const Matrix b = signed_zero_b(k, n, 20 + static_cast<std::uint64_t>(n));
+        const Matrix c0 = random_matrix(m, n, 30);
+        for (real_t alpha : {1.0, -0.5}) {
+          for (real_t beta : {0.0, 1.0, 0.3}) {
+            SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
+                                              << " k=" << k << " alpha="
+                                              << alpha << " beta=" << beta);
+            Matrix want = c0;
+            axpy_gemm_oracle(Op::kNone, alpha, a, b, beta, want);
+            Matrix got = c0;
+            la::gemm(Op::kNone, Op::kNone, alpha, a, b, beta, got);
+            EXPECT_TRUE(bitwise_equal(got, want)) << "dispatched";
+            for (auto isa : isas) {
+              got = c0;
+              la::detail::gemm_nn(isa, alpha, a, b, beta, got);
+              EXPECT_TRUE(bitwise_equal(got, want))
+                  << "variant " << static_cast<int>(isa);
+            }
+            if (m > 33) continue;  // B^T shares the kernel; small shapes do
+            const Matrix bt = signed_zero_b(n, k, 40);
+            want = c0;
+            axpy_gemm_oracle(Op::kTranspose, alpha, a, bt, beta, want);
+            got = c0;
+            la::gemm(Op::kNone, Op::kTranspose, alpha, a, bt, beta, got);
+            EXPECT_TRUE(bitwise_equal(got, want)) << "B transposed";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, RowIsBitwiseIndependentOfTheRowsAroundIt) {
+  // The serve fold-in solves one request alone or inside a batch; its row
+  // must come out the same either way.
+  const index_t m = 53, k = 32, n = 32;
+  const Matrix a = random_matrix(m, k, 50);
+  const Matrix b = signed_zero_b(k, n, 51);
+  const Matrix c0 = random_matrix(m, n, 52);
+  for (auto isa : supported_gemm_isas()) {
+    Matrix tall = c0;
+    la::detail::gemm_nn(isa, -0.5, a, b, 0.3, tall);
+    for (index_t i = 0; i < m; ++i) {
+      Matrix a_row(1, k), c_row(1, n);
+      for (index_t l = 0; l < k; ++l) a_row(0, l) = a(i, l);
+      for (index_t j = 0; j < n; ++j) c_row(0, j) = c0(i, j);
+      la::detail::gemm_nn(isa, -0.5, a_row, b, 0.3, c_row);
+      for (index_t j = 0; j < n; ++j) {
+        EXPECT_EQ(std::memcmp(&c_row(0, j), &tall(i, j), sizeof(real_t)), 0)
+            << "variant " << static_cast<int>(isa) << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(Gemm, ShapeMismatchThrows) {

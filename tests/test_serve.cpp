@@ -496,6 +496,8 @@ TEST(FoldInBatcher, BackgroundCollectorServesSubmissions) {
     const FoldInResult result = f.get();
     for (real_t v : result.row) EXPECT_TRUE(std::isfinite(v));
   }
+  // Counters move before set_value, so a completed get() sees them.
+  EXPECT_EQ(batcher.reliability().served.load(), 8);
   EXPECT_EQ(batcher.batch_sizes().requests(), 8);
 }
 

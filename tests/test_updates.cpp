@@ -3,7 +3,9 @@
 // unconstrained ALS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/random.hpp"
 #include "la/blas.hpp"
@@ -17,6 +19,7 @@
 #include "updates/bpp.hpp"
 #include "updates/hals.hpp"
 #include "updates/mu.hpp"
+#include "simgpu/launch.hpp"
 
 namespace cstf {
 namespace {
@@ -339,6 +342,99 @@ TEST(AdmmKernels, NonPositiveRhoThrows) {
                                       u, h, &delta),
                Error);
   EXPECT_THROW(kernel_compute_auxiliary(dev, m, h, u, 0.0, t), Error);
+}
+
+// The fused kernels' residual sums: each fixed-size tile summed serially in
+// index order, the tile sums combined in tile order — so the values are
+// bitwise the same at every worker count. The oracle is that serial sum.
+TEST(AdmmKernels, ResidualSumsAreTileOrderedSerialSums) {
+  const index_t rows = 3001, rank = 7;  // several tiles plus a partial one
+  const index_t n = rows * rank;
+  ASSERT_GT(n, 3 * simgpu::kElementwiseTile);
+  Rng rng(41);
+  Matrix t(rows, rank), u(rows, rank), h(rows, rank);
+  t.fill_uniform(rng, -1.0, 1.0);
+  u.fill_uniform(rng, -0.5, 0.5);
+  h.fill_uniform(rng, 0.0, 1.0);
+  auto tiled_sum = [&](auto term) {
+    real_t total = 0.0;
+    for (index_t t0 = 0; t0 < n; t0 += simgpu::kElementwiseTile) {
+      real_t tile = 0.0;
+      for (index_t i = t0; i < std::min(n, t0 + simgpu::kElementwiseTile); ++i) {
+        tile += term(i);
+      }
+      total += tile;
+    }
+    return total;
+  };
+  simgpu::Device dev(simgpu::a100());
+
+  Matrix want_h = h;
+  for (index_t i = 0; i < n; ++i) {
+    want_h.data()[i] = std::max(t.data()[i] - u.data()[i], 0.0);
+  }
+  const real_t want_delta = tiled_sum([&](index_t i) {
+    const real_t d = want_h.data()[i] - h.data()[i];
+    return d * d;
+  });
+  real_t delta = -1.0;
+  kernel_apply_proximity(dev, Proximity::non_negative(), 2.0, t, u, h, &delta);
+  EXPECT_EQ(std::memcmp(h.data(), want_h.data(), sizeof(real_t) * n), 0);
+  EXPECT_EQ(std::memcmp(&delta, &want_delta, sizeof delta), 0);
+
+  Matrix want_u = u;
+  for (index_t i = 0; i < n; ++i) want_u.data()[i] += h.data()[i] - t.data()[i];
+  const real_t want_primal = tiled_sum([&](index_t i) {
+    const real_t d = h.data()[i] - t.data()[i];
+    return d * d;
+  });
+  const real_t want_h_sq =
+      tiled_sum([&](index_t i) { return h.data()[i] * h.data()[i]; });
+  const real_t want_u_sq =
+      tiled_sum([&](index_t i) { return want_u.data()[i] * want_u.data()[i]; });
+  real_t primal = -1.0, h_sq = -1.0, u_sq = -1.0;
+  kernel_dual_update(dev, h, t, u, &primal, &h_sq, &u_sq);
+  EXPECT_EQ(std::memcmp(u.data(), want_u.data(), sizeof(real_t) * n), 0);
+  EXPECT_EQ(std::memcmp(&primal, &want_primal, sizeof primal), 0);
+  EXPECT_EQ(std::memcmp(&h_sq, &want_h_sq, sizeof h_sq), 0);
+  EXPECT_EQ(std::memcmp(&u_sq, &want_u_sq, sizeof u_sq), 0);
+}
+
+// With deterministic residuals the tolerance test exits at the same inner
+// iteration every run, so an early-exiting update is bitwise repeatable.
+TEST(Admm, EarlyExitIsBitwiseRepeatable) {
+  // A mixed-sign M keeps the non-negativity constraint active, so the dual
+  // (the dual residual's denominator) stays away from zero.
+  Instance inst = make_instance(2000, 8, 43);
+  Rng rng(44);
+  inst.m.fill_uniform(rng, -1.0, 1.0);
+  AdmmOptions opt;
+  opt.inner_iterations = 200;
+  opt.tolerance = 1e-6;
+  Matrix h0(2000, 8);
+  h0.fill_uniform(rng, 0.0, 1.0);
+  auto run = [&](AdmmDiagnostics& diag) {
+    AdmmUpdate admm(opt);
+    simgpu::Device dev(simgpu::a100());
+    Matrix h = h0;
+    ModeState state;
+    admm.update(dev, inst.s, inst.m, h, state);
+    diag = admm.last();
+    return h;
+  };
+  AdmmDiagnostics first, again;
+  const Matrix h_first = run(first);
+  ASSERT_LT(first.iterations, opt.inner_iterations);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const Matrix h = run(again);
+    EXPECT_EQ(again.iterations, first.iterations);
+    EXPECT_EQ(std::memcmp(&again.primal_residual, &first.primal_residual,
+                          sizeof(real_t)), 0);
+    EXPECT_EQ(std::memcmp(&again.dual_residual, &first.dual_residual,
+                          sizeof(real_t)), 0);
+    EXPECT_EQ(std::memcmp(h.data(), h_first.data(),
+                          sizeof(real_t) * h.size()), 0);
+  }
 }
 
 // Degenerate rho (all-zero S → trace 0) goes through the centralized clamp,
