@@ -3,8 +3,8 @@
 # negative self-test), then the full test suite twice — a plain
 # RelWithDebInfo build, then an ASan+UBSan build (-DCSTF_SANITIZE=ON). Any
 # doc drift, compile error, test failure, or sanitizer report fails the
-# script. After the plain pass, the kernels-labeled group (la + updates)
-# runs again under CSTF_THREADS=1.
+# script. After the plain pass, the kernels-labeled group (la + mttkrp +
+# updates) runs again under CSTF_THREADS=1.
 #
 # After the plain pass, a perf-smoke step runs the scatter-engine and
 # MTTKRP-engine fixtures (bench_host_wallclock --smoke): it fails if the

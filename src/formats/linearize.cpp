@@ -1,6 +1,7 @@
 #include "formats/linearize.hpp"
 
 #include "common/error.hpp"
+#include "common/isa.hpp"
 #include "formats/bitpack.hpp"
 
 namespace cstf {
@@ -12,7 +13,6 @@ LinearizedEncoding::LinearizedEncoding(const std::vector<index_t>& dims,
   const int modes = num_modes();
   bits_.resize(static_cast<std::size_t>(modes));
   masks_.assign(static_cast<std::size_t>(modes), 0);
-  positions_.resize(static_cast<std::size_t>(modes));
   int total = 0;
   for (int m = 0; m < modes; ++m) {
     bits_[static_cast<std::size_t>(m)] =
@@ -34,7 +34,6 @@ LinearizedEncoding::LinearizedEncoding(const std::vector<index_t>& dims,
       for (int m = 0; m < modes; ++m) {
         auto mi = static_cast<std::size_t>(m);
         if (assigned[mi] < bits_[mi]) {
-          positions_[mi].push_back(pos);
           masks_[mi] |= lco_t{1} << pos;
           ++pos;
           ++assigned[mi];
@@ -49,7 +48,6 @@ LinearizedEncoding::LinearizedEncoding(const std::vector<index_t>& dims,
     for (int m = modes - 1; m >= 0; --m) {
       auto mi = static_cast<std::size_t>(m);
       for (int b = 0; b < bits_[mi]; ++b) {
-        positions_[mi].push_back(pos);
         masks_[mi] |= lco_t{1} << pos;
         ++pos;
       }
@@ -57,30 +55,43 @@ LinearizedEncoding::LinearizedEncoding(const std::vector<index_t>& dims,
   }
 }
 
-lco_t LinearizedEncoding::encode(const index_t* coords) const {
+namespace {
+
+template <bool kBmi2>
+lco_t deposit_all(const std::vector<lco_t>& masks, const index_t* coords) {
   lco_t lco = 0;
-  for (int m = 0; m < num_modes(); ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    const auto c = static_cast<lco_t>(coords[m]);
-    for (int b = 0; b < bits_[mi]; ++b) {
-      lco |= ((c >> b) & 1u) << positions_[mi][static_cast<std::size_t>(b)];
-    }
+  for (std::size_t m = 0; m < masks.size(); ++m) {
+    lco |= pdep<kBmi2>(static_cast<lco_t>(coords[m]), masks[m]);
   }
   return lco;
 }
 
-index_t LinearizedEncoding::decode(lco_t lco, int mode) const {
-  const auto mi = static_cast<std::size_t>(mode);
-  lco_t c = 0;
-  for (int b = 0; b < bits_[mi]; ++b) {
-    c |= ((lco >> positions_[mi][static_cast<std::size_t>(b)]) & 1u)
-         << b;
+template <bool kBmi2>
+void extract_all(const std::vector<lco_t>& masks, lco_t lco, index_t* coords) {
+  for (std::size_t m = 0; m < masks.size(); ++m) {
+    coords[m] = static_cast<index_t>(pext<kBmi2>(lco, masks[m]));
   }
-  return static_cast<index_t>(c);
+}
+
+}  // namespace
+
+lco_t LinearizedEncoding::encode(const index_t* coords) const {
+  return cpu_has_bmi2() ? deposit_all<true>(masks_, coords)
+                        : deposit_all<false>(masks_, coords);
+}
+
+index_t LinearizedEncoding::decode(lco_t lco, int mode) const {
+  const lco_t mask = mode_mask(mode);
+  return static_cast<index_t>(cpu_has_bmi2() ? pext<true>(lco, mask)
+                                             : pext<false>(lco, mask));
 }
 
 void LinearizedEncoding::decode_all(lco_t lco, index_t* coords) const {
-  for (int m = 0; m < num_modes(); ++m) coords[m] = decode(lco, m);
+  if (cpu_has_bmi2()) {
+    extract_all<true>(masks_, lco, coords);
+  } else {
+    extract_all<false>(masks_, lco, coords);
+  }
 }
 
 }  // namespace cstf

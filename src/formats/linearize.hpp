@@ -47,10 +47,12 @@ class LinearizedEncoding {
   /// Bitmask of the positions holding `mode`'s bits.
   lco_t mode_mask(int mode) const { return masks_[static_cast<std::size_t>(mode)]; }
 
-  /// Packs coordinates into a linearized value.
+  /// Packs coordinates into a linearized value: each coordinate's bits are
+  /// deposited (PDEP) at its mode's mask positions.
   lco_t encode(const index_t* coords) const;
 
-  /// Extracts one mode's coordinate from a linearized value.
+  /// Extracts one mode's coordinate from a linearized value (PEXT of the
+  /// mode's mask).
   index_t decode(lco_t lco, int mode) const;
 
   /// Extracts all coordinates (coords must hold num_modes() entries).
@@ -60,9 +62,10 @@ class LinearizedEncoding {
   std::vector<index_t> dims_;
   BitOrder order_;
   std::vector<int> bits_;
+  // Both bit orders give bit b of a mode's coordinate the b-th lowest set
+  // position of its mask, so the masks alone define the layout and encode/
+  // decode are exactly PDEP/PEXT (formats/bitpack.hpp).
   std::vector<lco_t> masks_;
-  // Flat position table: positions_[mode][bit] = bit position within the lco.
-  std::vector<std::vector<int>> positions_;
   int total_bits_ = 0;
 };
 

@@ -21,7 +21,7 @@ namespace {
 
 // NN/NT kernel: a register-blocked micro-kernel over tiles of kTileRows(V) x
 // kTileCols elements of C, written once with GCC vector extensions and
-// compiled for several instruction sets (see detail::GemmIsa).
+// compiled for several instruction sets (common/isa.hpp).
 //
 // Bitwise contract (every variant, every tile position, every shape): each
 // C(i,j) starts from 0 (beta == 0), C(i,j) (beta == 1) or beta*C(i,j), then
@@ -171,25 +171,18 @@ void gemm_rows_portable(const GemmArgs& g, index_t lo, index_t hi) {
 
 using GemmRowsFn = void (*)(const GemmArgs&, index_t, index_t);
 
-GemmRowsFn gemm_rows_fn(detail::GemmIsa isa) {
-  CSTF_CHECK_MSG(detail::gemm_isa_supported(isa),
+GemmRowsFn gemm_rows_fn(Isa isa) {
+  CSTF_CHECK_MSG(isa_supported(isa),
                  "gemm micro-kernel not supported on this CPU");
 #if defined(__x86_64__) && defined(__GNUC__)
-  if (isa == detail::GemmIsa::kAvx512f) return gemm_rows_avx512f;
-  if (isa == detail::GemmIsa::kAvx2) return gemm_rows_avx2;
+  if (isa == Isa::kAvx512f) return gemm_rows_avx512f;
+  if (isa == Isa::kAvx2) return gemm_rows_avx2;
 #endif
   return gemm_rows_portable;
 }
 
-detail::GemmIsa widest_supported_isa() {
-  for (auto isa : {detail::GemmIsa::kAvx512f, detail::GemmIsa::kAvx2}) {
-    if (detail::gemm_isa_supported(isa)) return isa;
-  }
-  return detail::GemmIsa::kPortable;
-}
-
 // C = alpha * A * op(B) + beta * C for op(B) in {B, B^T}.
-void gemm_nx(detail::GemmIsa isa, Op op_b, real_t alpha, const Matrix& a,
+void gemm_nx(Isa isa, Op op_b, real_t alpha, const Matrix& a,
              const Matrix& b, real_t beta, Matrix& c) {
   GemmArgs g;
   g.m = c.rows();
@@ -260,8 +253,7 @@ void gemm(Op op_a, Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
   CSTF_CHECK_MSG(c.rows() == op_rows(a, op_a) && c.cols() == op_cols(b, op_b),
                  "gemm output shape " << c.rows() << "x" << c.cols());
   if (op_a == Op::kNone) {
-    static const detail::GemmIsa isa = widest_supported_isa();
-    return gemm_nx(isa, op_b, alpha, a, b, beta, c);
+    return gemm_nx(widest_isa(), op_b, alpha, a, b, beta, c);
   }
   if (op_b == Op::kNone) return gemm_tn(alpha, a, b, beta, c);
   return gemm_tt(alpha, a, b, beta, c);
@@ -269,21 +261,7 @@ void gemm(Op op_a, Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
 
 namespace detail {
 
-bool gemm_isa_supported(GemmIsa isa) {
-  switch (isa) {
-    case GemmIsa::kPortable: return true;
-#if defined(__x86_64__) && defined(__GNUC__)
-    case GemmIsa::kAvx2: return __builtin_cpu_supports("avx2");
-    case GemmIsa::kAvx512f: return __builtin_cpu_supports("avx512f");
-#else
-    case GemmIsa::kAvx2:
-    case GemmIsa::kAvx512f: return false;
-#endif
-  }
-  return false;
-}
-
-void gemm_nn(GemmIsa isa, real_t alpha, const Matrix& a, const Matrix& b,
+void gemm_nn(Isa isa, real_t alpha, const Matrix& a, const Matrix& b,
              real_t beta, Matrix& c) {
   CSTF_CHECK(a.cols() == b.rows() && c.rows() == a.rows() &&
              c.cols() == b.cols());

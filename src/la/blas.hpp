@@ -10,6 +10,7 @@
 // plus vector helpers (axpy/scal/dot/nrm2).
 #pragma once
 
+#include "common/isa.hpp"
 #include "la/matrix.hpp"
 
 namespace cstf::la {
@@ -27,16 +28,11 @@ void gemm(Op op_a, Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
 
 namespace detail {
 
-/// Instruction sets the op(A) = A micro-kernel of gemm() is compiled for;
-/// gemm() runs the widest one the CPU supports. Every variant yields
-/// bitwise-identical C (DESIGN.md §5); they are named here so tests can
-/// compare them.
-enum class GemmIsa { kPortable, kAvx2, kAvx512f };
-
-bool gemm_isa_supported(GemmIsa isa);
-
-/// gemm(kNone, kNone, ...) on the given variant; throws if the CPU lacks it.
-void gemm_nn(GemmIsa isa, real_t alpha, const Matrix& a, const Matrix& b,
+/// gemm(kNone, kNone, ...) on the given variant of the op(A) = A
+/// micro-kernel; throws if the CPU lacks it. gemm() runs widest_isa(). Every
+/// variant yields bitwise-identical C (DESIGN.md §5); this entry point lets
+/// tests compare them.
+void gemm_nn(Isa isa, real_t alpha, const Matrix& a, const Matrix& b,
              real_t beta, Matrix& c);
 
 }  // namespace detail

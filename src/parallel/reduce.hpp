@@ -52,18 +52,23 @@ auto parallel_sum(index_t begin, index_t end, const Mapper& mapper,
 /// tree depends only on `num_tiles`, and each element is summed
 /// independently, so for a fixed tile count the result is bit-identical
 /// regardless of worker count or scheduling — the property the
-/// deterministic scatter paths rely on. Parallelism is over elements.
+/// deterministic scatter paths rely on. Parallelism is over element ranges,
+/// each running every level of the tree: one pool dispatch per call.
 inline void deterministic_tree_reduce(real_t* const* tiles,
                                       std::size_t num_tiles, index_t len) {
-  for (std::size_t stride = 1; stride < num_tiles; stride *= 2) {
-    for (std::size_t i = 0; i + stride < num_tiles; i += 2 * stride) {
-      real_t* dst = tiles[i];
-      const real_t* src = tiles[i + stride];
-      parallel_for(0, len, [&](index_t j) {
-        dst[static_cast<std::size_t>(j)] += src[static_cast<std::size_t>(j)];
-      });
+  if (num_tiles < 2) return;
+  parallel_for_blocked(0, len, [&](index_t lo, index_t hi) {
+    for (std::size_t stride = 1; stride < num_tiles; stride *= 2) {
+      for (std::size_t i = 0; i + stride < num_tiles; i += 2 * stride) {
+        real_t* dst = tiles[i];
+        const real_t* src = tiles[i + stride];
+        for (index_t j = lo; j < hi; ++j) {
+          dst[static_cast<std::size_t>(j)] +=
+              src[static_cast<std::size_t>(j)];
+        }
+      }
     }
-  }
+  });
 }
 
 }  // namespace cstf

@@ -157,12 +157,12 @@ std::vector<ScoredEntry> QueryEngine::top_k(
     if (a.score != b.score) return a.score > b.score;
     return a.index < b.index;
   };
-  std::partial_sort(entries.begin(),
-                    entries.begin() + static_cast<std::ptrdiff_t>(kk),
-                    entries.end(), better);
-  entries.resize(kk);
+  const auto top = entries.begin() + static_cast<std::ptrdiff_t>(kk);
+  std::partial_sort(entries.begin(), top, entries.end(), better);
+  // A k-sized copy: `entries` has capacity for every row of the mode.
+  std::vector<ScoredEntry> result(entries.begin(), top);
   latency_.record(timer.seconds());
-  return entries;
+  return result;
 }
 
 }  // namespace cstf::serve

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "common/isa.hpp"
 #include "formats/alto.hpp"
 #include "formats/bitpack.hpp"
 #include "formats/blco.hpp"
@@ -85,6 +86,85 @@ TEST(BitPack, RoundTripFullWidth64) {
 TEST(BitPack, OverwideValueThrows) {
   BitWriter w(3);
   EXPECT_THROW(w.push(8), Error);
+}
+
+// PEXT/PDEP by definition: the k-th lowest set bit of `mask` holds bit k of
+// the packed value.
+std::uint64_t reference_pext(std::uint64_t x, std::uint64_t mask) {
+  std::uint64_t out = 0;
+  for (int pos = 0, k = 0; pos < 64; ++pos) {
+    if ((mask >> pos) & 1u) out |= ((x >> pos) & 1u) << k++;
+  }
+  return out;
+}
+
+std::uint64_t reference_pdep(std::uint64_t x, std::uint64_t mask) {
+  std::uint64_t out = 0;
+  for (int pos = 0, k = 0; pos < 64; ++pos) {
+    if ((mask >> pos) & 1u) out |= ((x >> k++) & 1u) << pos;
+  }
+  return out;
+}
+
+TEST(BitPack, PextPdepMatchTheDefinitionOnBothPaths) {
+  Rng rng(17);
+  std::vector<std::uint64_t> masks = {0, ~std::uint64_t{0}, 1,
+                                      std::uint64_t{1} << 63,
+                                      0x5555555555555555ULL,
+                                      0xF0F0F0F00000FFFFULL};
+  for (int i = 0; i < 200; ++i) {
+    masks.push_back(rng() & rng());
+  }
+  for (const std::uint64_t mask : masks) {
+    for (int j = 0; j < 20; ++j) {
+      const std::uint64_t x = j == 0 ? ~std::uint64_t{0} : rng();
+      const std::uint64_t ext = reference_pext(x, mask);
+      const std::uint64_t dep = reference_pdep(x, mask);
+      ASSERT_EQ(pext<false>(x, mask), ext) << std::hex << x << " " << mask;
+      ASSERT_EQ(pdep<false>(x, mask), dep) << std::hex << x << " " << mask;
+      if (cpu_has_bmi2()) {
+        ASSERT_EQ(pext<true>(x, mask), ext) << std::hex << x << " " << mask;
+        ASSERT_EQ(pdep<true>(x, mask), dep) << std::hex << x << " " << mask;
+      }
+    }
+  }
+}
+
+TEST(Linearize, RoundTripsBothOrdersUpTo64Bits) {
+  // The 4 x 16-bit layout fills all 64 bits; the others leave gaps and
+  // uneven mode widths.
+  const std::vector<std::vector<index_t>> shapes = {
+      {65536, 65536, 65536, 65536}, {5, 9, 3}, {1 << 20, 7, 300, 2, 1000}};
+  Rng rng(23);
+  for (const auto& dims : shapes) {
+    for (BitOrder order : {BitOrder::kInterleaved, BitOrder::kModeMajor}) {
+      const LinearizedEncoding enc(dims, order);
+      const int modes = enc.num_modes();
+      int bits = 0;
+      for (int m = 0; m < modes; ++m) bits += enc.mode_bits(m);
+      ASSERT_EQ(enc.total_bits(), bits);
+      index_t coords[kMaxModes], back[kMaxModes];
+      for (int i = 0; i < 500; ++i) {
+        lco_t want = 0;
+        for (int m = 0; m < modes; ++m) {
+          // The first two draws are the corners 0 and dim - 1.
+          const auto dim =
+              static_cast<std::uint64_t>(dims[static_cast<std::size_t>(m)]);
+          coords[m] = static_cast<index_t>(
+              i == 0 ? 0 : i == 1 ? dim - 1 : rng.uniform_index(dim));
+          want |= reference_pdep(static_cast<lco_t>(coords[m]),
+                                 enc.mode_mask(m));
+        }
+        const lco_t lco = enc.encode(coords);
+        ASSERT_EQ(lco, want);
+        enc.decode_all(lco, back);
+        for (int m = 0; m < modes; ++m) {
+          ASSERT_EQ(back[m], coords[m]) << "mode " << m;
+          ASSERT_EQ(enc.decode(lco, m), coords[m]) << "mode " << m;
+        }
+      }
+    }
+  }
 }
 
 TEST(Linearize, RoundTripsEveryCoordinate) {

@@ -172,11 +172,10 @@ bool bitwise_equal(const Matrix& x, const Matrix& y) {
                      static_cast<std::size_t>(x.size()) * sizeof(real_t)) == 0;
 }
 
-std::vector<la::detail::GemmIsa> supported_gemm_isas() {
-  std::vector<la::detail::GemmIsa> isas;
-  for (auto isa : {la::detail::GemmIsa::kPortable, la::detail::GemmIsa::kAvx2,
-                   la::detail::GemmIsa::kAvx512f}) {
-    if (la::detail::gemm_isa_supported(isa)) isas.push_back(isa);
+std::vector<Isa> supported_gemm_isas() {
+  std::vector<Isa> isas;
+  for (auto isa : {Isa::kPortable, Isa::kAvx2, Isa::kAvx512f}) {
+    if (isa_supported(isa)) isas.push_back(isa);
   }
   return isas;
 }
@@ -192,8 +191,8 @@ Matrix signed_zero_b(index_t rows, index_t cols, std::uint64_t seed) {
 }
 
 TEST(Gemm, MicroKernelIsBitwiseTheAxpyLoop) {
-  const std::vector<la::detail::GemmIsa> isas = supported_gemm_isas();
-  ASSERT_EQ(isas.front(), la::detail::GemmIsa::kPortable);
+  const std::vector<Isa> isas = supported_gemm_isas();
+  ASSERT_EQ(isas.front(), Isa::kPortable);
   for (index_t m : {0, 1, 7, 15, 16, 17, 33, 26636}) {
     for (index_t k : {1, 5, 32}) {
       const Matrix a = random_matrix(m, k, 10 + static_cast<std::uint64_t>(k));

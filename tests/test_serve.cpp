@@ -317,6 +317,26 @@ TEST(QueryEngine, TopKReturnsLargestScoresSorted) {
   }
 }
 
+TEST(QueryEngine, TopKHoldsOnlyTheReturnedEntries) {
+  // The answer's storage is k entries, not one per row of the target mode.
+  const ServableModel snapshot(make_saved_model(), 1);
+  simgpu::Device device(simgpu::a100());
+  ServeRuntime runtime(device, global_pool());
+  QueryEngine engine(runtime);
+  const int target = 0;
+  const std::vector<index_t> fixed = {0, 2, 3};
+  const auto rows = static_cast<std::size_t>(snapshot.mode_size(target));
+  ASSERT_GT(rows, 3u);
+  const std::vector<ScoredEntry> top = engine.top_k(snapshot, target, fixed, 2);
+  EXPECT_EQ(top.size(), 2u);
+  EXPECT_EQ(top.capacity(), 2u);
+  // k past the mode size returns every row.
+  const std::vector<ScoredEntry> all = engine.top_k(
+      snapshot, target, fixed, static_cast<int>(rows) + 5);
+  EXPECT_EQ(all.size(), rows);
+  EXPECT_EQ(all.capacity(), rows);
+}
+
 TEST(FoldIn, RowIsFeasibleAndMatchesFromScratchSolve) {
   const SavedModel saved = make_saved_model();
   const ServableModel snapshot(saved, 1);
