@@ -61,15 +61,26 @@ BENCHMARK(BM_GemmTallSkinny)
     ->ArgNames({"rows", "R"})
     ->UseRealTime();  // gemm runs on every pool worker
 
+// The Gram of a factor, I x R -> R x R, at the NELL1 analog's mode lengths
+// of 2194 and 26636 rows; reports FLOP/s at I*R*(R+1) flops per call (a
+// multiply and an add per element of the upper triangle).
 void BM_Gram(benchmark::State& state) {
-  const Matrix a = random_matrix(state.range(0), 32, 3);
-  Matrix s(32, 32);
+  const index_t rows = state.range(0), rank = state.range(1);
+  const Matrix a = random_matrix(rows, rank, 3);
+  Matrix s(rank, rank);
   for (auto _ : state) {
     la::gram(a, s);
     benchmark::DoNotOptimize(s.data());
+    benchmark::ClobberMemory();
   }
+  state.counters["FLOP/s"] = benchmark::Counter(
+      static_cast<double>(rows * rank * (rank + 1)),
+      benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_Gram)->Arg(1 << 12)->Arg(1 << 15);
+BENCHMARK(BM_Gram)
+    ->ArgsProduct({{2194, 26636}, {16, 32, 64}})
+    ->ArgNames({"rows", "R"})
+    ->UseRealTime();  // gram runs on every pool worker
 
 void BM_CholeskyFactor(benchmark::State& state) {
   const index_t rank = state.range(0);

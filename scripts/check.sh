@@ -29,10 +29,11 @@
 # Knobs (env vars): CSTF_CHECK_SKIP_SANITIZE=1 skips the second pass (useful
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
-# exec-, dimtree-, autotune-, and metrics-labeled ctest groups (the
+# exec-, dimtree-, autotune-, metrics- and kernels-labeled ctest groups (the
 # executor/plan-cache layer every concurrent path now submits through, the
-# dimension-tree engine's parallel chain derives, and the metrics
-# registry's lock-free counter hot path), CSTF_THREADS.
+# dimension-tree engine's parallel chain derives, the metrics registry's
+# lock-free counter hot path, and the host kernels with the atomic scatter's
+# row locks), CSTF_THREADS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,7 +100,7 @@ else
 fi
 
 if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
-  echo "=== TSan pass: exec- and dimtree-labeled suites under ThreadSanitizer"
+  echo "=== TSan pass: exec, dimtree, autotune, metrics and kernels suites"
   # TSan and ASan cannot share a binary (the configure step enforces the
   # exclusivity), so this is its own build tree. The exec group covers the
   # executor, plan caches, and the trainer/streaming/serving paths that
@@ -112,10 +113,13 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   # The metrics group rides along: the registry's lock-free counter hot path
   # (relaxed fetch_add from every kernel launch and serve request) is
   # exactly the kind of code TSan exists to vet.
+  # The kernels group rides along: the atomic scatter's per-row spin locks
+  # (parallel/atomic.hpp) guard plain loads and stores of the shared output,
+  # so a missing acquire/release would be a data race TSan reports.
   cmake -B build-tsan -S . -DCSTF_TSAN=ON
   cmake --build build-tsan -j
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan -L 'exec|dimtree|autotune|metrics' \
+    ctest --test-dir build-tsan -L 'exec|dimtree|autotune|metrics|kernels' \
     --output-on-failure
 fi
 

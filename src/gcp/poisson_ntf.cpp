@@ -113,7 +113,7 @@ void PoissonNtf::sweep_mode(int mode) {
   evaluate_model(tensor_, factors_, model_at_nnz_);
 
   // Phi = MTTKRP of the ratio tensor (x / x_hat): atomic scatter into the
-  // output rows, like the COO MTTKRP kernel.
+  // output rows (one row lock per nonzero), like the COO MTTKRP kernel.
   Matrix phi(h.rows(), rank);
   {
     simgpu::KernelStats stats;
@@ -127,6 +127,7 @@ void PoissonNtf::sweep_mode(int mode) {
     device_.record("poisson_ratio_mttkrp", stats);
   }
   const auto& out_idx = tensor_.indices(mode);
+  const RowLocks locks(phi.rows());
   parallel_for_blocked(0, tensor_.nnz(), [&](index_t lo, index_t hi) {
     std::vector<real_t> row(static_cast<std::size_t>(rank));
     for (index_t i = lo; i < hi; ++i) {
@@ -142,10 +143,8 @@ void PoissonNtf::sweep_mode(int mode) {
           row[static_cast<std::size_t>(r)] *= f(idx, r);
         }
       }
-      const index_t out_row = out_idx[static_cast<std::size_t>(i)];
-      for (index_t r = 0; r < rank; ++r) {
-        atomic_add(&phi(out_row, r), row[static_cast<std::size_t>(r)]);
-      }
+      locks.add_row(phi.data(), phi.rows(),
+                    out_idx[static_cast<std::size_t>(i)], row.data(), rank);
     }
   });
 

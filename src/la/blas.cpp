@@ -270,24 +270,156 @@ void gemm_nn(Isa isa, real_t alpha, const Matrix& a, const Matrix& b,
 
 }  // namespace detail
 
-void gram(const Matrix& a, Matrix& s) {
+namespace {
+
+// Gram kernel: register blocks of kGramI rows i by kGramJ vectors of columns
+// j of the upper triangle of S, one column j per vector lane. A block sweeps
+// the rows of A in panels of kGramPanel, its columns j transposed into a
+// small row-major buffer, and adds broadcast(a(l,i)) * a(l, j..j+lanes) for
+// l ascending.
+//
+// Bitwise contract (every variant, every block position, every shape): each
+// S(i,j), i <= j, starts from +0 and takes `+= a(l,i) * a(l,j)` for l
+// ascending — the operation sequence of a scalar column-dot loop. Lanes are
+// independent elements, and FP contraction is off for cstf_la, so the
+// multiply and the add never fuse.
+
+constexpr index_t kGramI = 4;
+constexpr index_t kGramJ = 2;
+constexpr index_t kGramPanel = 64;
+// Row blocks per work unit: a unit transposes its columns j once per panel
+// and reuses them for this many row blocks.
+constexpr index_t kGramUnitBlocks = 4;
+
+template <class V>
+constexpr index_t kGramWidth =
+    kGramJ * static_cast<index_t>(sizeof(V) / sizeof(real_t));
+
+// One work unit: columns [j0, j0 + width) of S against the row blocks
+// [b0, b1) (rows [b0 * kGramI, b1 * kGramI) of S).
+struct GramUnit {
+  index_t j0 = 0, b0 = 0, b1 = 0;
+};
+
+template <class V>
+[[gnu::always_inline]] inline void gram_unit(const Matrix& a, Matrix& s,
+                                             const GramUnit& u) {
+  constexpr index_t kLanes = static_cast<index_t>(sizeof(V) / sizeof(real_t));
+  constexpr index_t kWidth = kGramWidth<V>;
+  const index_t n = a.rows(), r = a.cols();
+  const index_t cols = std::min(kWidth, r - u.j0);
+  const index_t blocks = u.b1 - u.b0;
+  alignas(64) real_t panel[kGramPanel * kWidth];
+  // Column pointers of the unit's rows i; a row past the last column of A
+  // reads column r - 1 and its results are dropped.
+  const real_t* ai[kGramUnitBlocks][kGramI];
+  for (index_t b = 0; b < blocks; ++b) {
+    for (index_t ii = 0; ii < kGramI; ++ii) {
+      ai[b][ii] = a.col(std::min((u.b0 + b) * kGramI + ii, r - 1));
+    }
+  }
+  V acc[kGramUnitBlocks][kGramI][kGramJ] = {};
+  for (index_t l0 = 0; l0 < n; l0 += kGramPanel) {
+    const index_t rows = std::min(kGramPanel, n - l0);
+    for (index_t c = 0; c < kWidth; ++c) {
+      if (c < cols) {
+        const real_t* src = a.col(u.j0 + c) + l0;
+        for (index_t p = 0; p < rows; ++p) panel[p * kWidth + c] = src[p];
+      } else {
+        for (index_t p = 0; p < rows; ++p) panel[p * kWidth + c] = 0.0;
+      }
+    }
+    for (index_t b = 0; b < blocks; ++b) {
+      V c[kGramI][kGramJ];
+#pragma GCC unroll 8
+      for (index_t ii = 0; ii < kGramI; ++ii) {
+        for (index_t q = 0; q < kGramJ; ++q) c[ii][q] = acc[b][ii][q];
+      }
+      const real_t* const* col = ai[b];
+      for (index_t p = 0; p < rows; ++p) {
+        V y[kGramJ];
+#pragma GCC unroll 8
+        for (index_t q = 0; q < kGramJ; ++q) {
+          load(y[q], panel + p * kWidth + q * kLanes);
+        }
+#pragma GCC unroll 8
+        for (index_t ii = 0; ii < kGramI; ++ii) {
+          const real_t x = col[ii][l0 + p];
+          for (index_t q = 0; q < kGramJ; ++q) c[ii][q] += x * y[q];
+        }
+      }
+#pragma GCC unroll 8
+      for (index_t ii = 0; ii < kGramI; ++ii) {
+        for (index_t q = 0; q < kGramJ; ++q) acc[b][ii][q] = c[ii][q];
+      }
+    }
+  }
+  for (index_t b = 0; b < blocks; ++b) {
+    for (index_t ii = 0; ii < kGramI; ++ii) {
+      const index_t i = (u.b0 + b) * kGramI + ii;
+      for (index_t jj = std::max<index_t>(0, i - u.j0); jj < cols; ++jj) {
+        s(i, u.j0 + jj) = acc[b][ii][jj / kLanes][jj % kLanes];
+      }
+    }
+  }
+}
+
+void gram_unit_portable(const Matrix& a, Matrix& s, const GramUnit& u) {
+  gram_unit<v2d>(a, s, u);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+[[gnu::target("avx2")]] void gram_unit_avx2(const Matrix& a, Matrix& s,
+                                            const GramUnit& u) {
+  gram_unit<v4d>(a, s, u);
+}
+
+[[gnu::target("avx512f")]] void gram_unit_avx512f(const Matrix& a, Matrix& s,
+                                                  const GramUnit& u) {
+  gram_unit<v8d>(a, s, u);
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+void gram(Isa isa, const Matrix& a, Matrix& s) {
   const index_t r = a.cols();
   CSTF_CHECK(s.rows() == r && s.cols() == r);
-  const index_t n = a.rows();
-  // Upper triangle, then mirror. Parallel over columns of S.
-  parallel_for(0, r, [&](index_t j) {
-    const real_t* aj = a.col(j);
-    for (index_t i = 0; i <= j; ++i) {
-      const real_t* ai = a.col(i);
-      real_t acc = 0.0;
-      for (index_t l = 0; l < n; ++l) acc += ai[l] * aj[l];
-      s(i, j) = acc;
+  CSTF_CHECK_MSG(isa_supported(isa),
+                 "gram kernel not supported on this CPU");
+  void (*unit_fn)(const Matrix&, Matrix&, const GramUnit&) = gram_unit_portable;
+  index_t width = kGramWidth<v2d>;
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa == Isa::kAvx512f) {
+    unit_fn = gram_unit_avx512f;
+    width = kGramWidth<v8d>;
+  } else if (isa == Isa::kAvx2) {
+    unit_fn = gram_unit_avx2;
+    width = kGramWidth<v4d>;
+  }
+#endif
+  // Upper triangle: column strip [j0, j0 + width) needs the row blocks that
+  // start above its last column, in units of kGramUnitBlocks.
+  std::vector<GramUnit> units;
+  for (index_t j0 = 0; j0 < r; j0 += width) {
+    const index_t blocks = (std::min(j0 + width, r) + kGramI - 1) / kGramI;
+    for (index_t b0 = 0; b0 < blocks; b0 += kGramUnitBlocks) {
+      units.push_back({j0, b0, std::min(b0 + kGramUnitBlocks, blocks)});
     }
+  }
+  parallel_for(0, static_cast<index_t>(units.size()), [&](index_t k) {
+    unit_fn(a, s, units[static_cast<std::size_t>(k)]);
   }, /*grain=*/1);
   for (index_t j = 0; j < r; ++j) {
     for (index_t i = j + 1; i < r; ++i) s(i, j) = s(j, i);
   }
 }
+
+}  // namespace detail
+
+void gram(const Matrix& a, Matrix& s) { detail::gram(widest_isa(), a, s); }
 
 void gemv(Op op_a, real_t alpha, const Matrix& a, const real_t* x, real_t beta,
           real_t* y) {

@@ -35,10 +35,16 @@ namespace detail {
 void gemm_nn(Isa isa, real_t alpha, const Matrix& a, const Matrix& b,
              real_t beta, Matrix& c);
 
+/// gram() on the given variant of its kernel; throws if the CPU lacks it.
+/// Every variant yields S bitwise equal to the scalar column-dot loop
+/// (DESIGN.md §5).
+void gram(Isa isa, const Matrix& a, Matrix& s);
+
 }  // namespace detail
 
 /// Gram matrix: S = A^T * A (S is cols(A) x cols(A), full storage).
-/// Exploits symmetry: computes the upper triangle and mirrors it.
+/// Exploits symmetry: computes the upper triangle and mirrors it. Runs
+/// widest_isa().
 void gram(const Matrix& a, Matrix& s);
 
 /// Matrix-vector multiply: y = alpha * op(A) * x + beta * y.

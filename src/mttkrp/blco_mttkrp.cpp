@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "parallel/atomic.hpp"
@@ -65,8 +64,8 @@ simgpu::KernelStats prorate(const simgpu::KernelStats& stats, double share) {
 // read the nonzero's delta, decode its coordinates with the call's hoisted
 // mode masks (PEXT), and build its Khatri-Rao row v * f_a(c_a,:) * f_b(c_b,:)
 // * ... over the gathered modes in ascending order, one multiply each. The
-// row is built a vector of lanes at a time and handed to a sink (atomic add,
-// private tile, segment accumulator) without being stored; one partly
+// row is built a vector of lanes at a time and handed to a sink (the atomic
+// kernel's row buffer, a private tile, a segment accumulator); one partly
 // filled vector covers the last R mod lanes elements.
 //
 // Bitwise contract, for every instruction-set variant: each row element is
@@ -117,13 +116,6 @@ template <class V>
 }
 
 [[gnu::always_inline]] inline void add_to(real_t* p, real_t x) { *p += x; }
-
-[[gnu::always_inline]] inline real_t lane(real_t x, index_t) { return x; }
-
-template <class V>
-[[gnu::always_inline]] inline real_t lane(const V& x, index_t l) {
-  return x[l];
-}
 
 // One call's hoisted routine arguments. Gathered factor g's row c starts at
 // factor[g] + c * row_step[g], and its element r lies r * col_step[g]
@@ -193,11 +185,14 @@ template <class V, bool kBmi2, int kGathers, class Sink>
 
 // One kernel-body call's work, one struct per kernel.
 //
-// Atomic: nonzeros first, first + step, ... < last of BLCO block `block`,
-// CAS-added into column-major `out`.
+// Atomic: every nonzero of BLCO block `block`, in order. Each finished row
+// is built in `row` (R reals) and added into column-major `out` under its
+// output row's lock.
 struct AtomicTask {
-  index_t block = 0, first = 0, last = 0, step = 1;
+  index_t block = 0;
+  real_t* row = nullptr;
   Matrix* out = nullptr;
+  const RowLocks* locks = nullptr;
 };
 
 // Privatized: every nonzero of BLCO blocks [first, last), in order, into the
@@ -209,26 +204,26 @@ struct TileTask {
 
 // Sorted: plan segments first, first + step, ... < last, each summed in
 // `acc` (R reals) in plan order, then added into its row of `out`.
-// block_offsets[b] is BLCO block b's value_offset.
 struct SortedTask {
   index_t first = 0, last = 0, step = 1;
   real_t* acc = nullptr;
   Matrix* out = nullptr;
   const ScatterPlan* plan = nullptr;
-  const std::vector<index_t>* block_offsets = nullptr;
 };
 
-// CAS-bound, so it reads the gathered-mode count at run time.
-template <class V, bool kBmi2>
+template <class V, bool kBmi2, int kGathers>
 [[gnu::always_inline]] inline void atomic_kernel(const KrpArgs& a,
                                                  const AtomicTask& t) {
   const BlcoBlock& blk = a.blco->block(t.block);
   Matrix& out = *t.out;
-  for (index_t i = t.first; i < t.last; i += t.step) {
-    krp_row<V, kBmi2, 0>(a, blk, i, [&](index_t row, index_t r, const auto& x) {
-      constexpr index_t n = kLanes<std::decay_t<decltype(x)>>;
-      for (index_t l = 0; l < n; ++l) atomic_add(&out(row, r + l), lane(x, l));
-    });
+  for (index_t i = 0; i < blk.count; ++i) {
+    index_t out_row = 0;
+    krp_row<V, kBmi2, kGathers>(
+        a, blk, i, [&](index_t row, index_t r, const auto& x) {
+          out_row = row;
+          store(t.row + r, x);
+        });
+    t.locks->add_row(out.data(), out.rows(), out_row, t.row, a.rank);
   }
 }
 
@@ -252,17 +247,14 @@ template <class V, bool kBmi2, int kGathers>
                                                  const SortedTask& t) {
   const index_t rank = a.rank;
   const ScatterPlan& plan = *t.plan;
-  const std::vector<index_t>& offsets = *t.block_offsets;
   for (index_t s = t.first; s < t.last; s += t.step) {
     std::fill_n(t.acc, static_cast<std::size_t>(rank), real_t{0});
     const index_t lo = plan.seg_ptr[static_cast<std::size_t>(s)];
     const index_t hi = plan.seg_ptr[static_cast<std::size_t>(s) + 1];
     for (index_t k = lo; k < hi; ++k) {
-      // Global nonzero id -> block: blocks are ordered by value_offset.
       const index_t i = plan.order[static_cast<std::size_t>(k)];
-      const auto it = std::upper_bound(offsets.begin(), offsets.end(), i);
       const BlcoBlock& blk =
-          a.blco->block(static_cast<index_t>(it - offsets.begin()) - 1);
+          a.blco->block(plan.block[static_cast<std::size_t>(k)]);
       krp_row<V, kBmi2, kGathers>(a, blk, i - blk.value_offset,
                                   [&](index_t, index_t r, const auto& x) {
                                     add_to(t.acc + r, x);
@@ -275,11 +267,20 @@ template <class V, bool kBmi2, int kGathers>
   }
 }
 
-// The tile and sorted kernels run with the gathered-mode count fixed at
-// compile time for the 3- and 4-way tensors of the paper's datasets (2 and 3
-// gathered modes); on the 4-way Uber analog it cuts the privatized kernel's
-// time by a third to a half (DESIGN.md §8). Other orders read the count at
-// run time.
+// The kernels run with the gathered-mode count fixed at compile time for the
+// 3- and 4-way tensors of the paper's datasets (2 and 3 gathered modes); on
+// the 4-way Uber analog it cuts the privatized kernel's time by a third to a
+// half (DESIGN.md §8). Other orders read the count at run time.
+template <class V, bool kBmi2>
+[[gnu::always_inline]] inline void atomic_entry(const KrpArgs& a,
+                                                const AtomicTask& t) {
+  switch (a.gathers) {
+    case 2: return atomic_kernel<V, kBmi2, 2>(a, t);
+    case 3: return atomic_kernel<V, kBmi2, 3>(a, t);
+    default: return atomic_kernel<V, kBmi2, 0>(a, t);
+  }
+}
+
 template <class V, bool kBmi2>
 [[gnu::always_inline]] inline void tile_entry(const KrpArgs& a,
                                               const TileTask& t) {
@@ -310,7 +311,7 @@ struct KernelSet {
 };
 
 void atomic_portable(const KrpArgs& a, const AtomicTask& t) {
-  atomic_kernel<v2d, false>(a, t);
+  atomic_entry<v2d, false>(a, t);
 }
 void tile_portable(const KrpArgs& a, const TileTask& t) {
   tile_entry<v2d, false>(a, t);
@@ -322,7 +323,7 @@ void sorted_portable(const KrpArgs& a, const SortedTask& t) {
 #if defined(__x86_64__) && defined(__GNUC__)
 [[gnu::target("avx2,bmi2")]] void atomic_avx2(const KrpArgs& a,
                                               const AtomicTask& t) {
-  atomic_kernel<v4d, true>(a, t);
+  atomic_entry<v4d, true>(a, t);
 }
 [[gnu::target("avx2,bmi2")]] void tile_avx2(const KrpArgs& a,
                                             const TileTask& t) {
@@ -335,7 +336,7 @@ void sorted_portable(const KrpArgs& a, const SortedTask& t) {
 
 [[gnu::target("avx512f,bmi2")]] void atomic_avx512f(const KrpArgs& a,
                                                     const AtomicTask& t) {
-  atomic_kernel<v8d, true>(a, t);
+  atomic_entry<v8d, true>(a, t);
 }
 [[gnu::target("avx512f,bmi2")]] void tile_avx512f(const KrpArgs& a,
                                                   const TileTask& t) {
@@ -429,20 +430,28 @@ class KrpCall {
 
 // Atomic-scatter kernel over a contiguous block range [block_lo, block_lo +
 // grid): shared by the resident and streamed entry points. `stats` must
-// describe exactly this range's work.
+// describe exactly this range's work. The threads of a launch block run one
+// after another on one host worker, so thread 0 walks the whole BLCO block
+// in nonzero order and the others find nothing left; the modeled launch
+// keeps its 128 threads per block.
 void launch_blco_range(simgpu::Device& dev, const char* name,
-                       const KrpCall& call, const BlcoTensor& blco,
-                       Matrix& out, index_t block_lo, index_t grid,
-                       simgpu::KernelStats stats) {
+                       const KrpCall& call, Matrix& out, index_t block_lo,
+                       index_t grid, simgpu::KernelStats stats) {
   constexpr index_t kThreads = 128;
+  const index_t rank = out.cols();
+  const RowLocks locks(out.rows());
   simgpu::LaunchConfig cfg{.grid_dim = grid, .block_dim = kThreads};
   simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
+    if (ctx.thread_idx != 0) return;
+    thread_local std::vector<real_t> row;
+    if (row.size() < static_cast<std::size_t>(rank)) {
+      row.resize(static_cast<std::size_t>(rank));
+    }
     AtomicTask task;
     task.block = block_lo + ctx.block_idx;
-    task.first = ctx.thread_idx;
-    task.last = blco.block(task.block).count;
-    task.step = ctx.block_dim;
+    task.row = row.data();
     task.out = &out;
+    task.locks = &locks;
     call.run(task);
   });
 }
@@ -518,18 +527,10 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
 // one output row, so the final writes are plain adds and the per-row
 // accumulation order is the plan's (fixed) order.
 void launch_blco_sorted(simgpu::Device& dev, const char* name,
-                        const KrpCall& call, const BlcoTensor& blco,
-                        Matrix& out, const ScatterPlan& plan,
-                        simgpu::KernelStats stats) {
+                        const KrpCall& call, Matrix& out,
+                        const ScatterPlan& plan, simgpu::KernelStats stats) {
   const index_t rank = out.cols();
-  const index_t num_blocks = blco.num_blocks();
   const index_t segments = plan.num_segments();
-
-  std::vector<index_t> offsets(static_cast<std::size_t>(num_blocks));
-  for (index_t b = 0; b < num_blocks; ++b) {
-    offsets[static_cast<std::size_t>(b)] = blco.block(b).value_offset;
-  }
-
   constexpr index_t kThreads = 128;
   simgpu::LaunchConfig cfg{
       .grid_dim = simgpu::blocks_for(segments, kThreads),
@@ -546,7 +547,6 @@ void launch_blco_sorted(simgpu::Device& dev, const char* name,
     task.acc = acc.data();
     task.out = &out;
     task.plan = &plan;
-    task.block_offsets = &offsets;
     call.run(task);
   });
 }
@@ -573,7 +573,7 @@ void check_mttkrp_args(const BlcoTensor& blco,
 }
 
 // The sorted-scatter plan over the nonzeros of blocks [block_lo, block_hi);
-// `order` holds their tensor-wide ids.
+// `order` holds their tensor-wide ids and `block` their BLCO blocks.
 ScatterPlan scatter_plan_for_blocks(const BlcoTensor& blco, int mode,
                                     index_t block_lo, index_t block_hi) {
   const index_t first = blco.block(block_lo).value_offset;
@@ -590,7 +590,23 @@ ScatterPlan scatter_plan_for_blocks(const BlcoTensor& blco, int mode,
       order[at] = blk.value_offset + i;
     }
   });
-  return detail::finish_scatter_plan(std::move(keys), std::move(order));
+  ScatterPlan plan =
+      detail::finish_scatter_plan(std::move(keys), std::move(order));
+  // Blocks are ordered by value_offset: a nonzero id's block is the last one
+  // starting at or before it. Searched once per plan, not per call.
+  std::vector<index_t> offsets(static_cast<std::size_t>(block_hi - block_lo));
+  for (index_t b = block_lo; b < block_hi; ++b) {
+    offsets[static_cast<std::size_t>(b - block_lo)] =
+        blco.block(b).value_offset;
+  }
+  plan.block.resize(plan.order.size());
+  parallel_for(0, static_cast<index_t>(plan.order.size()), [&](index_t k) {
+    const auto at = static_cast<std::size_t>(k);
+    const auto it =
+        std::upper_bound(offsets.begin(), offsets.end(), plan.order[at]);
+    plan.block[at] = block_lo + static_cast<index_t>(it - offsets.begin()) - 1;
+  });
+  return plan;
 }
 
 }  // namespace
@@ -603,8 +619,7 @@ void mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
   apply_scatter_stats(stats, ScatterStrategy::kAtomic, out.rows(), out.cols(),
                       static_cast<double>(blco.nnz()));
   const KrpCall call(widest_isa(), blco, factors, mode);
-  launch_blco_range(dev, "mttkrp_blco", call, blco, out, 0, blco.num_blocks(),
-                    stats);
+  launch_blco_range(dev, "mttkrp_blco", call, out, 0, blco.num_blocks(), stats);
 }
 
 ScatterStrategy mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
@@ -641,8 +656,8 @@ ScatterStrategy mttkrp_blco(Isa isa, simgpu::Device& dev,
     case ScatterStrategy::kAtomic:
       apply_scatter_stats(stats, strategy, mode_len, rank,
                           static_cast<double>(blco.nnz()));
-      launch_blco_range(dev, "mttkrp_blco", call, blco, out, 0,
-                        blco.num_blocks(), stats);
+      launch_blco_range(dev, "mttkrp_blco", call, out, 0, blco.num_blocks(),
+                        stats);
       break;
     case ScatterStrategy::kPrivatized:
       // launch_blco_priv splits the privatized extras over its two launches.
@@ -652,8 +667,7 @@ ScatterStrategy mttkrp_blco(Isa isa, simgpu::Device& dev,
     case ScatterStrategy::kSorted:
       apply_scatter_stats(stats, strategy, mode_len, rank,
                           static_cast<double>(blco.nnz()));
-      launch_blco_sorted(dev, "mttkrp_blco_sorted", call, blco, out, *plan,
-                         stats);
+      launch_blco_sorted(dev, "mttkrp_blco_sorted", call, out, *plan, stats);
       break;
     case ScatterStrategy::kAuto:
       break;  // resolve_scatter_strategy never returns kAuto
@@ -740,12 +754,12 @@ index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
         launch_blco_priv(dev, kName, call, blco, lo, lo + grid, out, stats);
         break;
       case ScatterStrategy::kSorted:
-        launch_blco_sorted(dev, kName, call, blco, out,
+        launch_blco_sorted(dev, kName, call, out,
                            scatter_plan_for_blocks(blco, mode, lo, lo + grid),
                            stats);
         break;
       default:
-        launch_blco_range(dev, kName, call, blco, out, lo, grid, stats);
+        launch_blco_range(dev, kName, call, out, lo, grid, stats);
         break;
     }
     if (staged_async) compute_done.push_back(dev.record_event());

@@ -5,10 +5,12 @@
 // output matrix, and concurrently processed nonzeros may target the same row.
 // This header centralizes the three ways to resolve that conflict:
 //
-//  * kAtomic      — CAS-loop accumulation directly into the output (the
-//                   GPU-style scatter of the paper's BLCO kernel). Cheap to
-//                   set up, but serializes under contention — pathological on
-//                   short modes, where many nonzeros land on few rows.
+//  * kAtomic      — accumulation directly into the output (the GPU-style
+//                   scatter of the paper's BLCO kernel: a CAS per element on
+//                   the modeled device, one row lock per nonzero on the host,
+//                   parallel/atomic.hpp). Cheap to set up, but serializes
+//                   under contention — pathological on short modes, where
+//                   many nonzeros land on few rows.
 //  * kPrivatized  — each of T fixed nonzero ranges accumulates into its own
 //                   private output tile; tiles are then combined by a
 //                   fixed-shape pairwise tree reduction. Atomic-free and
@@ -47,7 +49,7 @@ namespace cstf {
 
 enum class ScatterStrategy {
   kAuto,        // choose per mode/rank/nnz/workers (resolve_scatter_strategy)
-  kAtomic,      // CAS scatter into the shared output
+  kAtomic,      // scatter straight into the shared output
   kPrivatized,  // per-range private tiles + deterministic tree reduce
   kSorted,      // radix-bucketed segments, one owner per output row
 };
@@ -99,12 +101,17 @@ struct ScatterPlan {
   /// Output row owned by segment s. Rows with no nonzeros have no segment.
   std::vector<index_t> seg_row;
 
+  /// BLCO plans only: block[k] is the BLCO block holding nonzero order[k],
+  /// so the kernel reaches it without a search. Empty for other formats.
+  std::vector<index_t> block;
+
   index_t num_segments() const {
     return static_cast<index_t>(seg_row.size());
   }
 
   std::size_t storage_bytes() const {
-    return (order.size() + seg_ptr.size() + seg_row.size()) * sizeof(index_t);
+    return (order.size() + seg_ptr.size() + seg_row.size() + block.size()) *
+           sizeof(index_t);
   }
 };
 
@@ -233,6 +240,7 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
 
   switch (strategy) {
     case ScatterStrategy::kAtomic: {
+      const RowLocks locks(mode_len);
       parallel_for_blocked(0, nnz, [&](index_t lo, index_t hi) {
         thread_local std::vector<real_t> row;
         if (row.size() < static_cast<std::size_t>(rank)) {
@@ -240,9 +248,7 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
         }
         for (index_t i = lo; i < hi; ++i) {
           const index_t out_row = contribute(i, row.data());
-          for (index_t r = 0; r < rank; ++r) {
-            atomic_add(&out(out_row, r), row[static_cast<std::size_t>(r)]);
-          }
+          locks.add_row(out.data(), mode_len, out_row, row.data(), rank);
         }
       });
       return;
@@ -251,15 +257,14 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
     case ScatterStrategy::kPrivatized: {
       const index_t tiles = privatized_tile_count(nnz);
       const auto len = static_cast<std::size_t>(mode_len * rank);
-      // `out` itself serves as tile 0 (already zeroed); the pool lends the
-      // other tiles-1 buffers, unzeroed — each range zeroes its own prefix.
-      ScratchPool::Lease lease = ScratchPool::global().acquire(
-          static_cast<std::size_t>(tiles - 1), len);
+      // Row-major tiles, so a nonzero's row is R contiguous reals. The pool
+      // lends them unzeroed; each range zeroes its own.
+      ScratchPool::Lease lease =
+          ScratchPool::global().acquire(static_cast<std::size_t>(tiles), len);
       std::vector<real_t*> tile(static_cast<std::size_t>(tiles));
-      tile[0] = out.data();
-      for (index_t t = 1; t < tiles; ++t) {
+      for (index_t t = 0; t < tiles; ++t) {
         tile[static_cast<std::size_t>(t)] =
-            lease.tile(static_cast<std::size_t>(t - 1));
+            lease.tile(static_cast<std::size_t>(t));
       }
       const index_t chunk = (nnz + tiles - 1) / tiles;
       // One loop item per tile: tile t accumulates exactly the nonzeros of
@@ -268,7 +273,7 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
           0, tiles,
           [&](index_t t) {
             real_t* dst = tile[static_cast<std::size_t>(t)];
-            if (t > 0) std::fill_n(dst, len, real_t{0});
+            std::fill_n(dst, len, real_t{0});
             thread_local std::vector<real_t> row;
             if (row.size() < static_cast<std::size_t>(rank)) {
               row.resize(static_cast<std::size_t>(rank));
@@ -276,16 +281,21 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
             const index_t lo = t * chunk;
             const index_t hi = std::min<index_t>(lo + chunk, nnz);
             for (index_t i = lo; i < hi; ++i) {
-              const index_t out_row = contribute(i, row.data());
+              real_t* dst_row = dst + contribute(i, row.data()) * rank;
               for (index_t r = 0; r < rank; ++r) {
-                dst[static_cast<std::size_t>(r * mode_len + out_row)] +=
-                    row[static_cast<std::size_t>(r)];
+                dst_row[r] += row[static_cast<std::size_t>(r)];
               }
             }
           },
           /*grain=*/1);
       deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
                                 static_cast<index_t>(len));
+      // The reduce is elementwise, so the layout changes no bits; copying
+      // the sum into the column-major output is exact.
+      const real_t* sum = tile[0];
+      parallel_for(0, mode_len, [&](index_t i) {
+        for (index_t r = 0; r < rank; ++r) out(i, r) = sum[i * rank + r];
+      });
       return;
     }
 

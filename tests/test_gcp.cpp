@@ -6,6 +6,7 @@
 #include "cstf/metrics.hpp"
 #include "cstf/sampled_fit.hpp"
 #include "gcp/poisson_ntf.hpp"
+#include "mttkrp/coo_mttkrp.hpp"
 #include "tensor/generate.hpp"
 
 namespace cstf {
@@ -124,6 +125,67 @@ TEST(PoissonNtf, RecoversPlantedRateStructure) {
       best = std::max(best, component_congruence(got, r, truth, s));
     }
     EXPECT_GT(best, 0.9) << "component " << r;
+  }
+}
+
+// One KL-MU iteration computed serially, with Phi from the deterministic
+// sorted COO MTTKRP of the ratio tensor: the counterpart of the solver's
+// row-locked scatter.
+void reference_mu_iteration(const SparseTensor& x, real_t eps,
+                            std::vector<Matrix>& factors) {
+  const int modes = x.num_modes();
+  const index_t rank = factors[0].cols();
+  ScatterOptions sorted;
+  sorted.strategy = ScatterStrategy::kSorted;
+  for (int mode = 0; mode < modes; ++mode) {
+    SparseTensor ratio = x;
+    for (index_t i = 0; i < x.nnz(); ++i) {
+      real_t model = 0.0;
+      for (index_t r = 0; r < rank; ++r) {
+        real_t prod = 1.0;
+        for (int m = 0; m < modes; ++m) {
+          prod *= factors[static_cast<std::size_t>(m)](
+              x.indices(m)[static_cast<std::size_t>(i)], r);
+        }
+        model += prod;
+      }
+      ratio.mutable_values()[static_cast<std::size_t>(i)] =
+          x.values()[static_cast<std::size_t>(i)] / std::max(model, eps);
+    }
+    Matrix& h = factors[static_cast<std::size_t>(mode)];
+    Matrix phi(h.rows(), rank);
+    mttkrp_coo(ratio, factors, mode, phi, sorted);
+    for (index_t r = 0; r < rank; ++r) {
+      real_t d = 1.0;
+      for (int m = 0; m < modes; ++m) {
+        if (m == mode) continue;
+        real_t colsum = 0.0;
+        const Matrix& f = factors[static_cast<std::size_t>(m)];
+        for (index_t i = 0; i < f.rows(); ++i) colsum += f(i, r);
+        d *= colsum;
+      }
+      for (index_t i = 0; i < h.rows(); ++i) {
+        h(i, r) = std::max(h(i, r) * phi(i, r) / std::max(d, eps), 0.0);
+      }
+    }
+  }
+}
+
+TEST(PoissonNtf, AtomicRatioMttkrpMatchesTheSortedPath) {
+  // Mode 2 has 3 rows, so the ratio MTTKRP's workers collide on every row.
+  const CountData data = make_count_data({60, 40, 3}, 3, 6);
+  PoissonNtfOptions opt;
+  opt.rank = 8;
+  opt.max_iterations = 1;
+  PoissonNtf solver(data.counts, opt);
+  std::vector<Matrix> want = solver.factors();
+  solver.run();
+  reference_mu_iteration(data.counts, opt.epsilon, want);
+  for (int m = 0; m < 3; ++m) {
+    EXPECT_LT(max_abs_diff(solver.factors()[static_cast<std::size_t>(m)],
+                           want[static_cast<std::size_t>(m)]),
+              1e-12)
+        << "mode " << m;
   }
 }
 

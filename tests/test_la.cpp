@@ -274,6 +274,51 @@ TEST(Gram, ResultIsExactlySymmetric) {
   }
 }
 
+// The scalar column-dot loop la::gram ran before its vector kernel: the
+// oracle for the kernel's bitwise contract (DESIGN.md §5, decision 8).
+void column_dot_gram_oracle(const Matrix& a, Matrix& s) {
+  const index_t r = a.cols();
+  const index_t n = a.rows();
+  for (index_t j = 0; j < r; ++j) {
+    const real_t* aj = a.col(j);
+    for (index_t i = 0; i <= j; ++i) {
+      const real_t* ai = a.col(i);
+      real_t acc = 0.0;
+      for (index_t l = 0; l < n; ++l) acc += ai[l] * aj[l];
+      s(i, j) = acc;
+    }
+  }
+  for (index_t j = 0; j < r; ++j) {
+    for (index_t i = j + 1; i < r; ++i) s(i, j) = s(j, i);
+  }
+}
+
+TEST(Gram, VectorKernelIsBitwiseTheColumnDotLoop) {
+  const std::vector<Isa> isas = supported_gemm_isas();
+  ASSERT_EQ(isas.front(), Isa::kPortable);
+  for (index_t n : {0, 1, 7, 257, 26636}) {
+    for (index_t r : {1, 7, 8, 16, 32, 33}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " R=" << r);
+      // Operands with +0 and -0 entries; a column of A that is all -0 makes
+      // products of -0 whose sum must stay +0.
+      Matrix a = signed_zero_b(n, r, 60 + static_cast<std::uint64_t>(r));
+      if (r > 1) std::fill_n(a.col(1), n, -0.0);
+      Matrix want(r, r);
+      column_dot_gram_oracle(a, want);
+      Matrix got(r, r);
+      got.set_all(std::nan(""));
+      la::gram(a, got);
+      EXPECT_TRUE(bitwise_equal(got, want)) << "dispatched";
+      for (auto isa : isas) {
+        got.set_all(std::nan(""));
+        la::detail::gram(isa, a, got);
+        EXPECT_TRUE(bitwise_equal(got, want))
+            << "variant " << static_cast<int>(isa);
+      }
+    }
+  }
+}
+
 TEST(Gemv, NoTransposeAndTranspose) {
   Matrix a = random_matrix(6, 4, 8);
   std::vector<real_t> x{1, -2, 3, 0.5}, y(6, 1.0);

@@ -457,9 +457,11 @@ TEST(BlcoHostKernels, EveryVariantIsBitwiseTheOriginalRoutine) {
   for (auto isa : {Isa::kPortable, Isa::kAvx2, Isa::kAvx512f}) {
     if (isa_supported(isa)) isas.push_back(isa);
   }
-  // Three layouts: every factor staged (nnz >= 33 * I_m), every factor read
-  // in place (nnz < I_m), and a mix. 3 to 5 modes run the unrolled routine;
-  // 2 and 6 modes the run-time mode count.
+  // Four layouts: every factor staged (nnz >= 33 * I_m), every factor read
+  // in place (nnz < I_m), a mix, and a short hot mode beside a long one (4
+  // rows take every nonzero, so the atomic kernel's workers collide on each
+  // row lock; 5000 rows take under one each). 3 to 5 modes run the unrolled
+  // routine; 2 and 6 modes the run-time mode count.
   struct Layout {
     const char* name;
     std::vector<index_t> dims;
@@ -469,6 +471,7 @@ TEST(BlcoHostKernels, EveryVariantIsBitwiseTheOriginalRoutine) {
       {"staged", {40, 30, 20, 10, 6, 5}, 3000},
       {"in place", {5000, 4000, 3000, 2500, 2000}, 1200},
       {"mixed", {40, 5000, 20, 3000, 6, 10}, 3000},
+      {"hot and long", {4, 300, 5000}, 2000},
   };
   for (const Layout& layout : layouts) {
     for (int modes = 2; modes <= static_cast<int>(layout.dims.size());
@@ -526,6 +529,35 @@ TEST(BlcoHostKernels, EveryVariantIsBitwiseTheOriginalRoutine) {
 // ---------------------------------------------------------------------------
 // Adaptive scatter engine (mttkrp/scatter.hpp)
 // ---------------------------------------------------------------------------
+
+TEST(Scatter, AtomicCooAndAltoMatchTheirSortedPaths) {
+  // Mode 0 is short and hot (4 rows take all ~2000 nonzeros, so concurrent
+  // workers collide on every row lock); mode 2 is long (5000 rows, under one
+  // nonzero each).
+  const SparseTensor t = random_tensor({4, 300, 5000}, 2000, 83);
+  const AltoTensor alto(t);
+  Rng rng(84);
+  std::vector<Matrix> factors;
+  for (int m = 0; m < t.num_modes(); ++m) {
+    Matrix f(t.dim(m), 16);
+    f.fill_normal(rng);
+    factors.push_back(std::move(f));
+  }
+  for (int mode : {0, 2}) {
+    SCOPED_TRACE(::testing::Message() << "mode " << mode);
+    Matrix sorted(t.dim(mode), 16), atomic(t.dim(mode), 16);
+    mttkrp_coo(t, factors, mode, sorted,
+               explicit_strategy(ScatterStrategy::kSorted));
+    mttkrp_coo(t, factors, mode, atomic,
+               explicit_strategy(ScatterStrategy::kAtomic));
+    EXPECT_LT(max_abs_diff(atomic, sorted), 1e-12) << "coo";
+    mttkrp_alto(alto, factors, mode, sorted,
+                explicit_strategy(ScatterStrategy::kSorted));
+    mttkrp_alto(alto, factors, mode, atomic,
+                explicit_strategy(ScatterStrategy::kAtomic));
+    EXPECT_LT(max_abs_diff(atomic, sorted), 1e-12) << "alto";
+  }
+}
 
 class ScatterStrategySweep
     : public ::testing::TestWithParam<ScatterStrategy> {};

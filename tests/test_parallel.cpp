@@ -1,5 +1,5 @@
 // Unit tests for src/parallel: thread pool, parallel loops, reductions,
-// atomic accumulation.
+// row-locked accumulation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -175,17 +175,44 @@ TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
   EXPECT_DOUBLE_EQ(result, 42.0);
 }
 
-TEST(AtomicAdd, SingleThreadAccumulates) {
-  real_t x = 1.5;
-  atomic_add(&x, 2.5);
-  EXPECT_DOUBLE_EQ(x, 4.0);
-}
-
-TEST(AtomicAdd, NoLostUpdatesUnderContention) {
-  real_t target = 0.0;
-  constexpr index_t n = 200000;
-  parallel_for(0, n, [&](index_t) { atomic_add(&target, 1.0); }, /*grain=*/1);
-  EXPECT_DOUBLE_EQ(target, static_cast<real_t>(n));
+TEST(RowLocks, NoLostUpdateOnHotRows) {
+  // Every worker adds the same integer-valued row to 1-8 hot output rows of
+  // a column-major matrix; integer sums are exact in any order, so any lost
+  // or torn update shows as a wrong count.
+  constexpr index_t kRank = 5;
+  constexpr index_t kAdds = 20000;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    for (index_t rows : {1, 2, 3, 8}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, " << rows
+                                        << " rows");
+      ThreadPool pool(threads);
+      const RowLocks locks(rows);
+      std::vector<real_t> out(static_cast<std::size_t>(rows * kRank), 0.0);
+      pool.run([&](std::size_t w) {
+        real_t x[kRank];
+        for (index_t r = 0; r < kRank; ++r) x[r] = static_cast<real_t>(r + 1);
+        for (index_t k = 0; k < kAdds; ++k) {
+          const index_t row = (k + static_cast<index_t>(w)) % rows;
+          locks.add_row(out.data(), rows, row, x, kRank);
+        }
+      });
+      std::vector<index_t> hits(static_cast<std::size_t>(rows), 0);
+      for (std::size_t w = 0; w < threads; ++w) {
+        for (index_t k = 0; k < kAdds; ++k) {
+          const index_t row = (k + static_cast<index_t>(w)) % rows;
+          ++hits[static_cast<std::size_t>(row)];
+        }
+      }
+      for (index_t row = 0; row < rows; ++row) {
+        for (index_t r = 0; r < kRank; ++r) {
+          EXPECT_EQ(out[static_cast<std::size_t>(r * rows + row)],
+                    static_cast<real_t>(hits[static_cast<std::size_t>(row)] *
+                                        (r + 1)))
+              << "row " << row << " element " << r;
+        }
+      }
+    }
+  }
 }
 
 TEST(GlobalPool, ExistsAndHasAtLeastOneThread) {
