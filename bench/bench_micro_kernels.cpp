@@ -219,8 +219,9 @@ BENCHMARK(BM_MttkrpBlco)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void admm_bench(benchmark::State& state, bool fusion, bool preinversion) {
-  const index_t rows = 1 << 14, rank = 32;
+void admm_bench(benchmark::State& state, bool fusion, bool preinversion,
+                index_t rows = 1 << 14) {
+  const index_t rank = 32;
   Matrix g = random_matrix(2 * rank, rank, 7);
   Matrix s(rank, rank);
   la::gram(g, s);
@@ -236,17 +237,48 @@ void admm_bench(benchmark::State& state, bool fusion, bool preinversion) {
   for (auto _ : state) {
     admm.update(dev, s, m, h, st);
     benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
   }
 }
 
 void BM_AdmmBaseline(benchmark::State& state) { admm_bench(state, false, false); }
 void BM_AdmmFused(benchmark::State& state) { admm_bench(state, true, false); }
 void BM_AdmmPreinverted(benchmark::State& state) { admm_bench(state, false, true); }
-void BM_CuAdmm(benchmark::State& state) { admm_bench(state, true, true); }
+void BM_CuAdmm(benchmark::State& state) {
+  admm_bench(state, true, true, state.range(0));
+}
 BENCHMARK(BM_AdmmBaseline);
 BENCHMARK(BM_AdmmFused);
 BENCHMARK(BM_AdmmPreinverted);
-BENCHMARK(BM_CuAdmm);
+// 26636 rows: the NELL1 analog's third mode.
+BENCHMARK(BM_CuAdmm)->ArgName("rows")->Arg(1 << 14)->Arg(26636);
+
+// The serve fold-in solve: cuADMM on a batch of B rows against a Gram
+// factored once (update_with_gram), from a cold start per solve.
+void BM_CuAdmmFoldIn(benchmark::State& state) {
+  const index_t batch = state.range(0), rank = 32;
+  Matrix g = random_matrix(2 * rank, rank, 7);
+  Matrix s(rank, rank);
+  la::gram(g, s);
+  const AdmmGram gram = prepare_admm_gram(s, /*preinvert=*/true);
+  const Matrix m = random_matrix(batch, rank, 8);
+  const AdmmUpdate admm(AdmmOptions{});
+  simgpu::Device dev(simgpu::a100());
+  Matrix h(batch, rank);
+  for (auto _ : state) {
+    h.set_all(0.0);
+    ModeState st;
+    admm.update_with_gram(dev, gram, m, h, st);
+    benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CuAdmmFoldIn)
+    ->ArgName("batch")
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MuUpdate(benchmark::State& state) {
   const index_t rows = 1 << 14, rank = 32;

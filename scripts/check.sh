@@ -4,7 +4,7 @@
 # RelWithDebInfo build, then an ASan+UBSan build (-DCSTF_SANITIZE=ON). Any
 # doc drift, compile error, test failure, or sanitizer report fails the
 # script. After the plain pass, the kernels-labeled group (la + mttkrp +
-# updates) runs again under CSTF_THREADS=1.
+# updates) runs again under CSTF_THREADS=1 and CSTF_THREADS=2.
 #
 # After the plain pass, a perf-smoke step runs the scatter-engine and
 # MTTKRP-engine fixtures (bench_host_wallclock --smoke): it fails if the
@@ -48,10 +48,12 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
-echo "=== kernels group at one thread (thread-count matrix, first slice)"
+echo "=== kernels group at one and two threads (thread-count matrix)"
 # The host kernels must give the same bits at any worker count; the plain
-# pass above ran them at the default (nproc) count.
+# pass above ran them at the default (nproc) count. Two threads split the
+# row blocks of the ADMM kernels and the gemm unevenly.
 CSTF_THREADS=1 ctest --test-dir build -L kernels --output-on-failure
+CSTF_THREADS=2 ctest --test-dir build -L kernels --output-on-failure
 
 if [ "${CSTF_CHECK_SKIP_PERF:-0}" = "1" ]; then
   echo "=== perf smoke skipped (CSTF_CHECK_SKIP_PERF=1)"

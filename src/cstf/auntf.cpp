@@ -5,6 +5,7 @@
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
+#include "common/fp_mode.hpp"
 #include "common/random.hpp"
 #include "la/blas.hpp"
 #include "la/elementwise.hpp"
@@ -255,6 +256,9 @@ const exec::Plan& Auntf::plan() {
 
 real_t Auntf::iterate() {
   CSTF_CHECK_MSG(initialized_, "call initialize() before iterate()");
+  // Subnormal ADMM duals would otherwise slow late iterations several-fold
+  // on the host (common/fp_mode.hpp).
+  const ScopedFlushSubnormals flush;
   ensure_executor();
   const index_t rank = options_.rank;
   if (ws_.s.rows() != rank || ws_.s.cols() != rank) ws_.s.resize(rank, rank);

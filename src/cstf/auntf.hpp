@@ -117,7 +117,9 @@ class Auntf {
   void initialize();
 
   /// Runs one outer iteration (all modes). Returns the fit if computed,
-  /// NaN otherwise.
+  /// NaN otherwise. The iteration flushes subnormal numbers to zero
+  /// (ScopedFlushSubnormals); the caller's floating-point mode is restored
+  /// on return.
   real_t iterate();
 
   /// Runs until convergence or max_iterations total completed iterations

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 
@@ -31,50 +31,40 @@ namespace {
 // batched-vs-single fold-in parity relies on this). The multiply and the add
 // stay separate IEEE operations because cstf_la builds with
 // -ffp-contract=off; without it the AVX-512 variant contracts them into FMA.
+// The zero test runs only in panels that hold a zero (flagged at staging);
+// elsewhere it could never skip a term, so leaving it out keeps the bits.
 
-using v2d = double __attribute__((vector_size(16)));
-#if defined(__x86_64__) && defined(__GNUC__)
-using v4d = double __attribute__((vector_size(32)));
-using v8d = double __attribute__((vector_size(64)));
-#endif
+using namespace simd;
 
 constexpr index_t kTileCols = 4;
-// Rows per parallel work unit; a multiple of every variant's tile height.
+// Rows per parallel work unit of gemm(); a multiple of every variant's tile
+// height.
 constexpr index_t kRowBlock = 16;
 
 template <class V>
-constexpr index_t kTileRows = 2 * static_cast<index_t>(sizeof(V) / sizeof(real_t));
-
-// Unaligned vector load/store. Vectors pass by reference: a vector passed by
-// value would change the ABI between the variants (-Wpsabi).
-template <class V>
-[[gnu::always_inline]] inline void load(V& v, const real_t* p) {
-  std::memcpy(&v, p, sizeof v);
-}
-
-template <class V>
-[[gnu::always_inline]] inline void store(real_t* p, const V& v) {
-  std::memcpy(p, &v, sizeof v);
-}
+constexpr index_t kTileRows = 2 * kLanes<V>;
 
 struct GemmArgs {
-  index_t m = 0, n = 0, k = 0;
-  const real_t* a = nullptr;  // m x k, column-major, leading dimension m
+  index_t ld = 0;  // leading dimension of A and C (both column-major)
+  index_t n = 0, k = 0;
+  const real_t* a = nullptr;  // k columns
   // alpha*op(B) staged in kTileCols-wide column panels, zero-padded past
-  // column n: bs[(t*k + l)*kTileCols + j] = alpha*op(B)(l, t*kTileCols + j).
+  // column n: bs[(t*k + l)*kTileCols + j] = alpha*op(B)(l, t*kTileCols + j),
+  // and has_zero[t] != 0 iff panel t holds a zero.
   const real_t* bs = nullptr;
+  const char* has_zero = nullptr;
   real_t beta = 0.0;
-  real_t* c = nullptr;  // m x n, column-major, leading dimension m
+  real_t* c = nullptr;  // n columns
 };
 
 // One full tile: `a` at A(i0, 0) (column stride lda), `bs` at the tile's
 // staged panel, `c` at C(i0, j0) (column stride ldc).
-template <class V>
+template <class V, bool kSkipZeros>
 [[gnu::always_inline]] inline void gemm_tile(index_t k, const real_t* a,
                                              index_t lda, const real_t* bs,
                                              real_t beta, real_t* c,
                                              index_t ldc) {
-  constexpr index_t kLanes = kTileRows<V> / 2;
+  constexpr index_t kHalf = kLanes<V>;
   V acc[kTileCols][2];
 #pragma GCC unroll 8
   for (index_t j = 0; j < kTileCols; ++j) {
@@ -83,7 +73,7 @@ template <class V>
       acc[j][1] = V{};
     } else {
       load(acc[j][0], c + j * ldc);
-      load(acc[j][1], c + j * ldc + kLanes);
+      load(acc[j][1], c + j * ldc + kHalf);
       if (beta != 1.0) {
         acc[j][0] *= beta;
         acc[j][1] *= beta;
@@ -93,12 +83,14 @@ template <class V>
   for (index_t l = 0; l < k; ++l) {
     V a0, a1;
     load(a0, a + l * lda);
-    load(a1, a + l * lda + kLanes);
+    load(a1, a + l * lda + kHalf);
     const real_t* bl = bs + l * kTileCols;
 #pragma GCC unroll 8
     for (index_t j = 0; j < kTileCols; ++j) {
       const real_t ab = bl[j];
-      if (ab == 0.0) continue;
+      if constexpr (kSkipZeros) {
+        if (ab == 0.0) continue;
+      }
       acc[j][0] += ab * a0;
       acc[j][1] += ab * a1;
     }
@@ -106,7 +98,21 @@ template <class V>
 #pragma GCC unroll 8
   for (index_t j = 0; j < kTileCols; ++j) {
     store(c + j * ldc, acc[j][0]);
-    store(c + j * ldc + kLanes, acc[j][1]);
+    store(c + j * ldc + kHalf, acc[j][1]);
+  }
+}
+
+// The tile of panel t, with the zero test only if the panel needs it.
+template <class V>
+[[gnu::always_inline]] inline void gemm_panel_tile(const GemmArgs& g,
+                                                   index_t t, const real_t* a,
+                                                   index_t lda, real_t* c,
+                                                   index_t ldc) {
+  const real_t* bs = g.bs + t * g.k * kTileCols;
+  if (g.has_zero[t] != 0) {
+    gemm_tile<V, true>(g.k, a, lda, bs, g.beta, c, ldc);
+  } else {
+    gemm_tile<V, false>(g.k, a, lda, bs, g.beta, c, ldc);
   }
 }
 
@@ -123,11 +129,11 @@ template <class V>
   for (index_t i0 = lo; i0 < hi; i0 += kRows) {
     const index_t rows = std::min(kRows, hi - i0);
     const real_t* a = g.a + i0;
-    index_t lda = g.m;
+    index_t lda = g.ld;
     if (rows < kRows) {
       a_pad.assign(static_cast<std::size_t>(kRows * g.k), 0.0);
       for (index_t l = 0; l < g.k; ++l) {
-        std::copy_n(g.a + l * g.m + i0, rows, a_pad.data() + l * kRows);
+        std::copy_n(g.a + l * g.ld + i0, rows, a_pad.data() + l * kRows);
       }
       a = a_pad.data();
       lda = kRows;
@@ -135,19 +141,18 @@ template <class V>
     for (index_t t = 0; t < panels; ++t) {
       const index_t j0 = t * kTileCols;
       const index_t cols = std::min(kTileCols, g.n - j0);
-      const real_t* bs = g.bs + t * g.k * kTileCols;
-      real_t* c = g.c + j0 * g.m + i0;
+      real_t* c = g.c + j0 * g.ld + i0;
       if (rows == kRows && cols == kTileCols) {
-        gemm_tile<V>(g.k, a, lda, bs, g.beta, c, g.m);
+        gemm_panel_tile<V>(g, t, a, lda, c, g.ld);
         continue;
       }
       std::fill_n(c_pad, kRows * kTileCols, 0.0);
       for (index_t j = 0; j < cols; ++j) {
-        std::copy_n(c + j * g.m, rows, c_pad + j * kRows);
+        std::copy_n(c + j * g.ld, rows, c_pad + j * kRows);
       }
-      gemm_tile<V>(g.k, a, lda, bs, g.beta, c_pad, kRows);
+      gemm_panel_tile<V>(g, t, a, lda, c_pad, kRows);
       for (index_t j = 0; j < cols; ++j) {
-        std::copy_n(c_pad + j * kRows, rows, c + j * g.m);
+        std::copy_n(c_pad + j * kRows, rows, c + j * g.ld);
       }
     }
   }
@@ -169,44 +174,17 @@ void gemm_rows_portable(const GemmArgs& g, index_t lo, index_t hi) {
 }
 #endif
 
-using GemmRowsFn = void (*)(const GemmArgs&, index_t, index_t);
-
-GemmRowsFn gemm_rows_fn(Isa isa) {
-  CSTF_CHECK_MSG(isa_supported(isa),
-                 "gemm micro-kernel not supported on this CPU");
-#if defined(__x86_64__) && defined(__GNUC__)
-  if (isa == Isa::kAvx512f) return gemm_rows_avx512f;
-  if (isa == Isa::kAvx2) return gemm_rows_avx2;
-#endif
-  return gemm_rows_portable;
-}
-
 // C = alpha * A * op(B) + beta * C for op(B) in {B, B^T}.
 void gemm_nx(Isa isa, Op op_b, real_t alpha, const Matrix& a,
              const Matrix& b, real_t beta, Matrix& c) {
-  GemmArgs g;
-  g.m = c.rows();
-  g.n = c.cols();
-  g.k = a.cols();
-  if (g.m == 0 || g.n == 0) return;
-  const index_t panels = (g.n + kTileCols - 1) / kTileCols;
-  std::vector<real_t> bs(static_cast<std::size_t>(panels * g.k * kTileCols),
-                         0.0);
-  for (index_t j = 0; j < g.n; ++j) {
-    real_t* panel = bs.data() + (j / kTileCols) * g.k * kTileCols + j % kTileCols;
-    for (index_t l = 0; l < g.k; ++l) {
-      panel[l * kTileCols] = alpha * (op_b == Op::kNone ? b(l, j) : b(j, l));
-    }
-  }
-  g.a = a.data();
-  g.bs = bs.data();
-  g.beta = beta;
-  g.c = c.data();
-  const GemmRowsFn rows_fn = gemm_rows_fn(isa);
+  const index_t m = c.rows();
+  if (m == 0 || c.cols() == 0) return;
+  const GemmPanels panels(alpha, b, op_b, isa);
   // Parallel over row blocks of C, so tall C (m >> n) spreads across workers.
-  const index_t blocks = (g.m + kRowBlock - 1) / kRowBlock;
+  const index_t blocks = (m + kRowBlock - 1) / kRowBlock;
   parallel_for_blocked(0, blocks, [&](index_t lo, index_t hi) {
-    rows_fn(g, lo * kRowBlock, std::min(hi * kRowBlock, g.m));
+    panels.multiply_rows(a.data(), beta, c.data(), m, lo * kRowBlock,
+                         std::min(hi * kRowBlock, m));
   }, /*grain=*/kParallelGrainDefault / kRowBlock);
 }
 
@@ -259,6 +237,47 @@ void gemm(Op op_a, Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
   return gemm_tt(alpha, a, b, beta, c);
 }
 
+GemmPanels::GemmPanels(real_t alpha, const Matrix& b, Op op_b, Isa isa)
+    : k_(op_rows(b, op_b)), n_(op_cols(b, op_b)), isa_(isa) {
+  CSTF_CHECK_MSG(isa_supported(isa),
+                 "gemm micro-kernel not supported on this CPU");
+  const index_t panels = (n_ + kTileCols - 1) / kTileCols;
+  panels_.assign(static_cast<std::size_t>(panels * k_ * kTileCols), 0.0);
+  for (index_t j = 0; j < n_; ++j) {
+    real_t* panel =
+        panels_.data() + (j / kTileCols) * k_ * kTileCols + j % kTileCols;
+    for (index_t l = 0; l < k_; ++l) {
+      panel[l * kTileCols] = alpha * (op_b == Op::kNone ? b(l, j) : b(j, l));
+    }
+  }
+  // Padded columns past n are zero, so a column-tail panel is flagged too.
+  has_zero_.resize(static_cast<std::size_t>(panels));
+  for (index_t t = 0; t < panels; ++t) {
+    const auto first = panels_.begin() + t * k_ * kTileCols;
+    has_zero_[static_cast<std::size_t>(t)] =
+        std::any_of(first, first + k_ * kTileCols,
+                    [](real_t v) { return v == 0.0; });
+  }
+}
+
+void GemmPanels::multiply_rows(const real_t* a, real_t beta, real_t* c,
+                               index_t ld, index_t lo, index_t hi) const {
+  GemmArgs g;
+  g.ld = ld;
+  g.n = n_;
+  g.k = k_;
+  g.a = a;
+  g.bs = panels_.data();
+  g.has_zero = has_zero_.data();
+  g.beta = beta;
+  g.c = c;
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa_ == Isa::kAvx512f) return gemm_rows_avx512f(g, lo, hi);
+  if (isa_ == Isa::kAvx2) return gemm_rows_avx2(g, lo, hi);
+#endif
+  gemm_rows_portable(g, lo, hi);
+}
+
 namespace detail {
 
 void gemm_nn(Isa isa, real_t alpha, const Matrix& a, const Matrix& b,
@@ -293,7 +312,7 @@ constexpr index_t kGramUnitBlocks = 4;
 
 template <class V>
 constexpr index_t kGramWidth =
-    kGramJ * static_cast<index_t>(sizeof(V) / sizeof(real_t));
+    kGramJ * kLanes<V>;
 
 // One work unit: columns [j0, j0 + width) of S against the row blocks
 // [b0, b1) (rows [b0 * kGramI, b1 * kGramI) of S).
@@ -304,7 +323,6 @@ struct GramUnit {
 template <class V>
 [[gnu::always_inline]] inline void gram_unit(const Matrix& a, Matrix& s,
                                              const GramUnit& u) {
-  constexpr index_t kLanes = static_cast<index_t>(sizeof(V) / sizeof(real_t));
   constexpr index_t kWidth = kGramWidth<V>;
   const index_t n = a.rows(), r = a.cols();
   const index_t cols = std::min(kWidth, r - u.j0);
@@ -340,7 +358,7 @@ template <class V>
         V y[kGramJ];
 #pragma GCC unroll 8
         for (index_t q = 0; q < kGramJ; ++q) {
-          load(y[q], panel + p * kWidth + q * kLanes);
+          load(y[q], panel + p * kWidth + q * kLanes<V>);
         }
 #pragma GCC unroll 8
         for (index_t ii = 0; ii < kGramI; ++ii) {
@@ -358,7 +376,7 @@ template <class V>
     for (index_t ii = 0; ii < kGramI; ++ii) {
       const index_t i = (u.b0 + b) * kGramI + ii;
       for (index_t jj = std::max<index_t>(0, i - u.j0); jj < cols; ++jj) {
-        s(i, u.j0 + jj) = acc[b][ii][jj / kLanes][jj % kLanes];
+        s(i, u.j0 + jj) = acc[b][ii][jj / kLanes<V>][jj % kLanes<V>];
       }
     }
   }

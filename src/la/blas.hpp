@@ -10,6 +10,8 @@
 // plus vector helpers (axpy/scal/dot/nrm2).
 #pragma once
 
+#include <vector>
+
 #include "common/isa.hpp"
 #include "la/matrix.hpp"
 
@@ -25,6 +27,34 @@ index_t op_cols(const Matrix& a, Op op);
 /// Shapes are validated; C must already have the result shape.
 void gemm(Op op_a, Op op_b, real_t alpha, const Matrix& a, const Matrix& b,
           real_t beta, Matrix& c);
+
+/// alpha*op(B) staged once in the column panels the gemm micro-kernel reads,
+/// each panel flagged if it holds a zero (only those tiles test each term
+/// for zero). gemm() stages its B per call; a caller that multiplies many
+/// row blocks by one B stages it once (the fused cuADMM inner iteration,
+/// against (S + rho*I)^-1).
+class GemmPanels {
+ public:
+  /// Stages alpha*op(B) for the given micro-kernel variant; throws if the
+  /// CPU lacks it.
+  GemmPanels(real_t alpha, const Matrix& b, Op op_b = Op::kNone,
+             Isa isa = widest_isa());
+
+  index_t k() const { return k_; }  // rows of op(B)
+  index_t n() const { return n_; }  // columns of op(B)
+
+  /// Rows [lo, hi) of C = A * alpha*op(B) + beta*C on the calling thread.
+  /// A (k() columns) and C (n() columns) are column-major with leading
+  /// dimension `ld`. Same bitwise contract as gemm().
+  void multiply_rows(const real_t* a, real_t beta, real_t* c, index_t ld,
+                     index_t lo, index_t hi) const;
+
+ private:
+  index_t k_ = 0, n_ = 0;
+  Isa isa_;
+  std::vector<real_t> panels_;
+  std::vector<char> has_zero_;
+};
 
 namespace detail {
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "parallel/atomic.hpp"
 #include "simgpu/launch.hpp"
 
@@ -85,26 +85,7 @@ simgpu::KernelStats prorate(const simgpu::KernelStats& stats, double share) {
 //    column-major `out` through one extra tile (see launch_blco_priv).
 // ---------------------------------------------------------------------------
 
-using v2d = double __attribute__((vector_size(16)));
-#if defined(__x86_64__) && defined(__GNUC__)
-using v4d = double __attribute__((vector_size(32)));
-using v8d = double __attribute__((vector_size(64)));
-#endif
-
-// Unaligned vector load/store. Vectors pass by reference: a vector passed by
-// value would change the ABI between the variants (-Wpsabi).
-template <class V>
-[[gnu::always_inline]] inline void load(V& v, const real_t* p) {
-  std::memcpy(&v, p, sizeof v);
-}
-
-template <class V>
-[[gnu::always_inline]] inline void store(real_t* p, const V& v) {
-  std::memcpy(p, &v, sizeof v);
-}
-
-template <class V>
-constexpr index_t kLanes = static_cast<index_t>(sizeof(V) / sizeof(real_t));
+using namespace simd;
 
 // *p += x over x's lanes; the real_t overload serves the scalar tail.
 template <class V>

@@ -4,6 +4,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/fp_mode.hpp"
 
 namespace cstf {
 
@@ -49,6 +50,7 @@ void ThreadPool::run(const std::function<void(std::size_t)>& fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_ = &fn;
+    job_fp_mode_ = fp_mode();
     first_error_ = nullptr;
     remaining_ = num_threads_ - 1;
     ++epoch_;
@@ -84,6 +86,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   std::size_t seen_epoch = 0;
   for (;;) {
     const std::function<void(std::size_t)>* job = nullptr;
+    std::uint32_t mode = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_start_.wait(lock,
@@ -91,7 +94,9 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       if (shutting_down_) return;
       seen_epoch = epoch_;
       job = job_;
+      mode = job_fp_mode_;
     }
+    set_fp_mode(mode);
     tls_in_parallel = true;
     std::exception_ptr error;
     try {

@@ -10,6 +10,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -40,7 +41,9 @@ class ThreadPool {
   /// Runs `fn(worker_index)` on every worker (including the caller as worker
   /// 0) and returns when all have finished. `fn` must be re-entrant across
   /// workers. Exceptions thrown inside `fn` are captured and the first one is
-  /// rethrown on the caller.
+  /// rethrown on the caller. Every worker runs `fn` in the caller's
+  /// floating-point mode (common/fp_mode.hpp), so results do not depend on
+  /// which thread computes which element.
   void run(const std::function<void(std::size_t)>& fn);
 
   /// True while the calling thread is inside a run() region; used to detect
@@ -57,6 +60,7 @@ class ThreadPool {
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   const std::function<void(std::size_t)>* job_ = nullptr;
+  std::uint32_t job_fp_mode_ = 0;  // the caller's fp_mode(), for the workers
   std::size_t epoch_ = 0;        // increments per run(); wakes workers
   std::size_t remaining_ = 0;    // workers still executing the current job
   bool shutting_down_ = false;

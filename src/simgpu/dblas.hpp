@@ -15,6 +15,11 @@
 
 namespace cstf::simgpu {
 
+/// Modeled KernelStats of one dgemm with an m x n C and inner dimension k:
+/// the record of dgemm(), and of any kernel that does a dgemm's work inside
+/// a fused pass.
+KernelStats dgemm_stats(index_t m, index_t n, index_t k, real_t beta);
+
 /// C = alpha*op(A)*op(B) + beta*C (cublasDgemm).
 void dgemm(Device& dev, la::Op op_a, la::Op op_b, real_t alpha,
            const Matrix& a, const Matrix& b, real_t beta,

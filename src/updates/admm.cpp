@@ -1,6 +1,7 @@
 #include "updates/admm.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "common/error.hpp"
 #include "la/cholesky.hpp"
@@ -72,10 +73,21 @@ void AdmmUpdate::update_with_gram(simgpu::Device& dev, const AdmmGram& gram,
   const Matrix& l = gram.l;
   const Matrix& inverse = gram.inverse;
 
+  // The fused row-block pass: cuADMM with an elementwise prox (DESIGN.md §5).
+  // It keeps T and H~ in per-thread block buffers, so it needs no I x R
+  // scratch and stages (S + rho*I)^-1 for its gemm once per update.
+  const bool row_block_pass = options_.operation_fusion &&
+                              options_.preinversion &&
+                              options_.prox.elementwise();
+  std::optional<la::GemmPanels> inverse_panels;
+  if (row_block_pass) inverse_panels.emplace(1.0, inverse);
+
   // Persistent dual + scratch, lazily sized.
   if (!state.dual.same_shape(h)) state.dual.resize(h.rows(), h.cols());
-  if (!state.aux.same_shape(h)) state.aux.resize(h.rows(), h.cols());
-  if (!state.scratch.same_shape(h)) state.scratch.resize(h.rows(), h.cols());
+  if (!row_block_pass) {
+    if (!state.aux.same_shape(h)) state.aux.resize(h.rows(), h.cols());
+    if (!state.scratch.same_shape(h)) state.scratch.resize(h.rows(), h.cols());
+  }
   Matrix& u = state.dual;
   Matrix& htilde = state.aux;
   Matrix& t = state.scratch;
@@ -88,8 +100,17 @@ void AdmmUpdate::update_with_gram(simgpu::Device& dev, const AdmmGram& gram,
     real_t delta_h_sq = 0.0;  // ||H_new - H_old||^2 (dual residual numerator)
     real_t primal_sq = 0.0, h_sq = 0.0, u_sq = 0.0;
 
-    if (options_.operation_fusion) {
-      // --- Fused path (Algorithm 3 lines 6-9) ---
+    if (row_block_pass) {
+      // --- Algorithm 3 lines 6-9 in one pass over row blocks ---
+      const AdmmResiduals r = kernel_fused_inner_iteration(
+          dev, options_.prox, rho, m, *inverse_panels, h, u, options_.stream);
+      delta_h_sq = r.delta_h_sq;
+      primal_sq = r.primal_sq;
+      h_sq = r.h_sq;
+      u_sq = r.u_sq;
+    } else if (options_.operation_fusion) {
+      // --- Fused kernels one launch at a time: the triangular-solve path
+      // and the column-wise proxes ---
       kernel_compute_auxiliary(dev, m, h, u, rho, t, options_.stream);
       if (options_.preinversion) {
         simgpu::dgemm(dev, la::Op::kNone, la::Op::kNone, 1.0, t, inverse, 0.0,

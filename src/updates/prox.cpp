@@ -44,7 +44,7 @@ std::string Proximity::name() const {
 
 real_t Proximity::apply_scalar(real_t x, real_t rho_scale) const {
   real_t y = x;
-  with_scalar_map(rho_scale, [&](auto map) { y = map(x); });
+  with_map(rho_scale, [&](auto map) { y = map(x); });
   return y;
 }
 
@@ -132,7 +132,7 @@ void Proximity::apply(Matrix& h, real_t rho_scale) const {
     return;
   }
   real_t* p = h.data();
-  with_scalar_map(rho_scale, [&](auto map) {
+  with_map(rho_scale, [&](auto map) {
     parallel_for_blocked(0, h.size(), [&](index_t lo, index_t hi) {
       for (index_t i = lo; i < hi; ++i) p[i] = map(p[i]);
     });

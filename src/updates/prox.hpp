@@ -7,10 +7,10 @@
 // (Section 4.3.1).
 #pragma once
 
-#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "common/types.hpp"
 #include "la/matrix.hpp"
 
@@ -84,27 +84,32 @@ class Proximity {
   real_t apply_scalar(real_t x, real_t rho_scale) const;
 
   /// Calls `body(map)` once, `map` being apply_scalar(., rho_scale) as a
-  /// callable `real_t(real_t)` of this kind, so a loop over many elements
-  /// dispatches on the kind once instead of per element. Throws for a
-  /// non-elementwise kind.
+  /// callable of this kind, so a loop over many elements dispatches on the
+  /// kind once instead of per element. `map` takes and returns a real_t or a
+  /// GCC vector of them (common/simd.hpp), lane by lane with the scalar
+  /// operation sequence, so the vectorized ADMM kernels and the scalar paths
+  /// give the same bits. Throws for a non-elementwise kind.
   template <typename Body>
-  void with_scalar_map(real_t rho_scale, const Body& body) const {
+  void with_map(real_t rho_scale, const Body& body) const {
     switch (kind_) {
       case ProxKind::kIdentity:
-        return body([](real_t x) { return x; });
+        return body([](auto x) { return x; });
       case ProxKind::kNonNegative:
-        return body([](real_t x) { return x > 0.0 ? x : 0.0; });
+        return body([](auto x) { return x > 0.0 ? x : decltype(x){}; });
       case ProxKind::kL1:
-        return body([t = a_ * rho_scale](real_t x) {
-          return x > t ? x - t : (x < -t ? x + t : 0.0);
+        return body([t = a_ * rho_scale](auto x) {
+          return x > t ? x - t : (x < -t ? x + t : decltype(x){});
         });
       case ProxKind::kL1NonNegative:
-        return body([t = a_ * rho_scale](real_t x) {
-          return x > t ? x - t : 0.0;
+        return body([t = a_ * rho_scale](auto x) {
+          return x > t ? x - t : decltype(x){};
         });
       case ProxKind::kBox:
-        return body([lo = a_, hi = b_](real_t x) {
-          return std::clamp(x, lo, hi);
+        // std::clamp(x, lo, hi), spelled out so it also takes vectors.
+        return body([lo = a_, hi = b_](auto x) {
+          using T = decltype(x);
+          const T above = x < lo ? simd::splat<T>(lo) : x;
+          return hi < above ? simd::splat<T>(hi) : above;
         });
       case ProxKind::kL2Ball:
       case ProxKind::kSimplex:

@@ -20,7 +20,8 @@ struct ModeState {
   Matrix dual;
 
   /// Scratch matrices sized I x R, reused across iterations to avoid
-  /// reallocation in the inner loop.
+  /// reallocation in the inner loop. The fused row-block cuADMM pass keeps
+  /// T and H~ in per-thread block buffers and leaves both empty.
   Matrix aux;      // H~ (ADMM auxiliary / primal-tilde)
   Matrix scratch;  // general temporary
 };

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include "baselines/planc.hpp"
 #include "baselines/splatt.hpp"
+#include "common/fp_mode.hpp"
 #include "cstf/auntf.hpp"
 #include "cstf/framework.hpp"
 #include "cstf/ktensor.hpp"
@@ -284,6 +286,46 @@ TEST(Auntf, UncomputedFitReturnsNaN) {
   Auntf driver(dev, backend, update, opt);
   driver.initialize();
   EXPECT_TRUE(std::isnan(driver.iterate()));
+}
+
+TEST(Auntf, IterateFlushesSubnormalDuals) {
+  // Mode-0 row 0 holds no nonzero, so its MTTKRP row is zero. Seed that row
+  // with a zero factor and subnormal duals: under IEEE gradual underflow the
+  // ADMM update keeps them subnormal, while iterate() flushes them to zero.
+  const LowRankTensor lr = make_low_rank(6);
+  SparseTensor tensor(lr.tensor.dims());
+  std::vector<index_t> coords(3);
+  for (index_t n = 0; n < lr.tensor.nnz(); ++n) {
+    if (lr.tensor.indices(0)[static_cast<std::size_t>(n)] == 0) continue;
+    for (int m = 0; m < 3; ++m) {
+      coords[static_cast<std::size_t>(m)] =
+          lr.tensor.indices(m)[static_cast<std::size_t>(n)];
+    }
+    tensor.append(coords, lr.tensor.values()[static_cast<std::size_t>(n)]);
+  }
+  simgpu::Device dev(simgpu::a100());
+  BlcoBackend backend(tensor);
+  AdmmUpdate update(AdmmOptions{});
+  AuntfOptions opt;
+  opt.rank = 4;
+  Auntf driver(dev, backend, update, opt);
+  driver.initialize();
+  driver.iterate();
+  TrainerState state = driver.export_state();
+  ASSERT_EQ(state.duals.size(), 3u);
+  const real_t tiny = std::numeric_limits<real_t>::min() / 8;
+  for (index_t r = 0; r < opt.rank; ++r) {
+    state.factors[0](0, r) = 0.0;
+    state.duals[0](0, r) = r % 2 == 0 ? tiny : -tiny;
+  }
+  driver.import_state(state);
+  const std::uint32_t mode = fp_mode();
+  driver.iterate();
+  EXPECT_EQ(fp_mode(), mode);
+  const TrainerState after = driver.export_state();
+  for (index_t r = 0; r < opt.rank; ++r) {
+    EXPECT_EQ(after.duals[0](0, r), 0.0) << "column " << r;
+  }
 }
 
 TEST(Auntf, PipelineStreamsIsBitIdenticalAndNeverSlowerModeled) {

@@ -2,8 +2,10 @@
 // elementwise kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/random.hpp"
@@ -190,39 +192,105 @@ Matrix signed_zero_b(index_t rows, index_t cols, std::uint64_t seed) {
   return b;
 }
 
+// The B operands of the bitwise tests: no zero (every panel runs the tile
+// without the zero test), zeros in every panel, and one -0 in the first
+// column only (the other full panels run without the test).
+std::vector<Matrix> gemm_test_bs(index_t rows, index_t cols,
+                                 std::uint64_t seed) {
+  std::vector<Matrix> bs = {random_matrix(rows, cols, seed),
+                            signed_zero_b(rows, cols, seed)};
+  bs.push_back(bs.front());
+  bs.back()(rows - 1, 0) = -0.0;
+  return bs;
+}
+
+// A with one non-finite entry in each of three rows: +inf, NaN, -inf. One
+// per row, so no row can make a NaN whose sign depends on operand order.
+Matrix non_finite_a(index_t rows, index_t cols, std::uint64_t seed) {
+  Matrix a = random_matrix(rows, cols, seed);
+  const real_t specials[] = {std::numeric_limits<real_t>::infinity(),
+                             std::numeric_limits<real_t>::quiet_NaN(),
+                             -std::numeric_limits<real_t>::infinity()};
+  const index_t count = std::min<index_t>(3, rows);
+  for (index_t s = 0; s < count; ++s) {
+    a(s * rows / count, (s * 3) % cols) = specials[s];
+  }
+  return a;
+}
+
 TEST(Gemm, MicroKernelIsBitwiseTheAxpyLoop) {
   const std::vector<Isa> isas = supported_gemm_isas();
   ASSERT_EQ(isas.front(), Isa::kPortable);
   for (index_t m : {0, 1, 7, 15, 16, 17, 33, 26636}) {
     for (index_t k : {1, 5, 32}) {
-      const Matrix a = random_matrix(m, k, 10 + static_cast<std::uint64_t>(k));
+      const Matrix a =
+          non_finite_a(m, k, 10 + static_cast<std::uint64_t>(k));
       for (index_t n : {1, 3, 32, 33}) {
-        const Matrix b = signed_zero_b(k, n, 20 + static_cast<std::uint64_t>(n));
+        const std::vector<Matrix> bs =
+            gemm_test_bs(k, n, 20 + static_cast<std::uint64_t>(n));
         const Matrix c0 = random_matrix(m, n, 30);
-        for (real_t alpha : {1.0, -0.5}) {
-          for (real_t beta : {0.0, 1.0, 0.3}) {
-            SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
-                                              << " k=" << k << " alpha="
-                                              << alpha << " beta=" << beta);
-            Matrix want = c0;
-            axpy_gemm_oracle(Op::kNone, alpha, a, b, beta, want);
-            Matrix got = c0;
-            la::gemm(Op::kNone, Op::kNone, alpha, a, b, beta, got);
-            EXPECT_TRUE(bitwise_equal(got, want)) << "dispatched";
-            for (auto isa : isas) {
+        for (std::size_t kind = 0; kind < bs.size(); ++kind) {
+          const Matrix& b = bs[kind];
+          for (real_t alpha : {1.0, -0.5}) {
+            for (real_t beta : {0.0, 1.0, 0.3}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "m=" << m << " n=" << n << " k=" << k
+                           << " B kind " << kind << " alpha=" << alpha
+                           << " beta=" << beta);
+              Matrix want = c0;
+              axpy_gemm_oracle(Op::kNone, alpha, a, b, beta, want);
+              Matrix got = c0;
+              la::gemm(Op::kNone, Op::kNone, alpha, a, b, beta, got);
+              EXPECT_TRUE(bitwise_equal(got, want)) << "dispatched";
+              for (auto isa : isas) {
+                got = c0;
+                la::detail::gemm_nn(isa, alpha, a, b, beta, got);
+                EXPECT_TRUE(bitwise_equal(got, want))
+                    << "variant " << static_cast<int>(isa);
+              }
+              if (m > 33) continue;  // B^T shares the kernel; small shapes do
+              const Matrix bt = signed_zero_b(n, k, 40);
+              want = c0;
+              axpy_gemm_oracle(Op::kTranspose, alpha, a, bt, beta, want);
               got = c0;
-              la::detail::gemm_nn(isa, alpha, a, b, beta, got);
-              EXPECT_TRUE(bitwise_equal(got, want))
-                  << "variant " << static_cast<int>(isa);
+              la::gemm(Op::kNone, Op::kTranspose, alpha, a, bt, beta, got);
+              EXPECT_TRUE(bitwise_equal(got, want)) << "B transposed";
             }
-            if (m > 33) continue;  // B^T shares the kernel; small shapes do
-            const Matrix bt = signed_zero_b(n, k, 40);
-            want = c0;
-            axpy_gemm_oracle(Op::kTranspose, alpha, a, bt, beta, want);
-            got = c0;
-            la::gemm(Op::kNone, Op::kTranspose, alpha, a, bt, beta, got);
-            EXPECT_TRUE(bitwise_equal(got, want)) << "B transposed";
           }
+        }
+      }
+    }
+  }
+}
+
+// The fused cuADMM pass stages B once and multiplies row blocks held in a
+// buffer whose leading dimension exceeds the rows in use.
+TEST(Gemm, StagedPanelsOnRowBlocksMatchGemm) {
+  constexpr index_t kLd = 256;
+  for (index_t m : {1, 7, 16, 17, 255, 256, 257, 3001}) {
+    for (index_t k : {1, 3, 32, 33}) {
+      const Matrix a = non_finite_a(m, k, 60 + static_cast<std::uint64_t>(k));
+      for (const Matrix& b : gemm_test_bs(k, k, 61)) {
+        Matrix want(m, k);
+        la::gemm(Op::kNone, Op::kNone, 1.0, a, b, 0.0, want);
+        for (auto isa : supported_gemm_isas()) {
+          const la::GemmPanels panels(1.0, b, Op::kNone, isa);
+          std::vector<real_t> a_buf(kLd * k), c_buf(kLd * k, -1.0);
+          Matrix got(m, k);
+          for (index_t r0 = 0; r0 < m; r0 += kLd) {
+            const index_t rows = std::min(kLd, m - r0);
+            for (index_t l = 0; l < k; ++l) {
+              std::copy_n(a.col(l) + r0, rows, a_buf.data() + l * kLd);
+            }
+            panels.multiply_rows(a_buf.data(), 0.0, c_buf.data(), kLd, 0,
+                                 rows);
+            for (index_t j = 0; j < k; ++j) {
+              std::copy_n(c_buf.data() + j * kLd, rows, got.col(j) + r0);
+            }
+          }
+          EXPECT_TRUE(bitwise_equal(got, want))
+              << "m=" << m << " k=" << k << " variant "
+              << static_cast<int>(isa);
         }
       }
     }

@@ -4,13 +4,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fp_mode.hpp"
 #include "common/random.hpp"
 #include "parallel/atomic.hpp"
 #include "parallel/parallel_for.hpp"
@@ -103,6 +106,38 @@ TEST(ThreadPool, InParallelRegionFlagIsSetInsideRun) {
   EXPECT_FALSE(ThreadPool::in_parallel_region());
   pool.run([&](std::size_t) { EXPECT_TRUE(ThreadPool::in_parallel_region()); });
   EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
+TEST(ThreadPool, WorkersRunInTheCallersFpMode) {
+  if (fp_mode() == 0) GTEST_SKIP() << "no floating-point control word";
+  // Half of the smallest normal double is subnormal: kept under IEEE
+  // gradual underflow, flushed to zero inside ScopedFlushSubnormals.
+  volatile real_t smallest = std::numeric_limits<real_t>::min();
+  ThreadPool pool(4);
+  std::vector<real_t> halves(4, -1.0);
+  const auto run = [&] {
+    pool.run([&](std::size_t w) { halves[w] = smallest * 0.5; });
+  };
+  {
+    const ScopedFlushSubnormals flush;
+    run();
+  }
+  for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(halves[w], 0.0) << w;
+  run();
+  for (std::size_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(std::fpclassify(halves[w]), FP_SUBNORMAL) << w;
+  }
+}
+
+TEST(ThreadPool, FlushScopeRestoresTheCallersMode) {
+  const std::uint32_t before = fp_mode();
+  {
+    const ScopedFlushSubnormals flush;
+    if (before != 0) {
+      EXPECT_EQ(fp_mode(), before | ScopedFlushSubnormals::kFlushSubnormals);
+    }
+  }
+  EXPECT_EQ(fp_mode(), before);
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <thread>
@@ -632,6 +633,43 @@ TEST(FoldInBatcher, TransientFaultIsRetriedInvisibly) {
   EXPECT_EQ(rel.retries, 1);
   EXPECT_EQ(rel.failed, 0);
   EXPECT_EQ(rel.served, 2);
+}
+
+// The fused cuADMM pass records the kernel chain's four launches, so a fault
+// armed on any of their names still fires in the fold-in solve, and the
+// retry serves the row an unfaulted run serves.
+TEST(FoldInBatcher, FaultOnEachFusedAdmmLaunchIsRetried) {
+  ModelStore store;
+  store.publish(make_saved_model());
+  const ServableModelPtr model = store.get("test-model");
+  auto serve_one = [&](simgpu::FaultPlan* plan, ReliabilitySnapshot& rel) {
+    simgpu::Device device(simgpu::a100());
+    device.set_fault_plan(plan);
+    ServeRuntime runtime(device, global_pool());
+    FoldInEngine engine(runtime);
+    FoldInBatcher::Options options;
+    options.background = false;
+    options.retry_backoff_s = 0.0;
+    FoldInBatcher batcher(engine, store, "test-model", options);
+    std::future<FoldInResult> row = batcher.submit(make_request(*model, 0, 1));
+    EXPECT_EQ(batcher.flush(), 1u);
+    rel = batcher.reliability().snapshot();
+    return row.get().row;
+  };
+  ReliabilitySnapshot rel;
+  const std::vector<real_t> want = serve_one(nullptr, rel);
+  for (const char* kernel : {"admm_compute_auxiliary", "dgemm",
+                             "admm_apply_proximity", "admm_dual_update"}) {
+    SCOPED_TRACE(kernel);
+    simgpu::FaultPlan plan(std::string("launch:k=1,kernel=") + kernel);
+    const std::vector<real_t> got = serve_one(&plan, rel);
+    EXPECT_EQ(plan.injected(), 1);
+    EXPECT_EQ(rel.retries, 1);
+    EXPECT_EQ(rel.failed, 0);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(real_t) * want.size()), 0);
+  }
 }
 
 TEST(FoldInBatcher, FatalFaultIsolatesRequestsInsteadOfFailingBatch) {

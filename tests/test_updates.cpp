@@ -16,10 +16,10 @@
 #include "updates/als.hpp"
 #include "updates/block_admm.hpp"
 #include "updates/bpp.hpp"
-#include "updates/bpp.hpp"
 #include "updates/hals.hpp"
 #include "updates/mu.hpp"
-#include "simgpu/launch.hpp"
+#include "simgpu/dblas.hpp"
+#include "simgpu/trace.hpp"
 
 namespace cstf {
 namespace {
@@ -344,60 +344,254 @@ TEST(AdmmKernels, NonPositiveRhoThrows) {
   EXPECT_THROW(kernel_compute_auxiliary(dev, m, h, u, 0.0, t), Error);
 }
 
-// The fused kernels' residual sums: each fixed-size tile summed serially in
-// index order, the tile sums combined in tile order — so the values are
-// bitwise the same at every worker count. The oracle is that serial sum.
-TEST(AdmmKernels, ResidualSumsAreTileOrderedSerialSums) {
-  const index_t rows = 3001, rank = 7;  // several tiles plus a partial one
-  const index_t n = rows * rank;
-  ASSERT_GT(n, 3 * simgpu::kElementwiseTile);
-  Rng rng(41);
-  Matrix t(rows, rank), u(rows, rank), h(rows, rank);
-  t.fill_uniform(rng, -1.0, 1.0);
-  u.fill_uniform(rng, -0.5, 0.5);
-  h.fill_uniform(rng, 0.0, 1.0);
-  auto tiled_sum = [&](auto term) {
-    real_t total = 0.0;
-    for (index_t t0 = 0; t0 < n; t0 += simgpu::kElementwiseTile) {
-      real_t tile = 0.0;
-      for (index_t i = t0; i < std::min(n, t0 + simgpu::kElementwiseTile); ++i) {
-        tile += term(i);
+// The residual order of the ADMM kernels (admm_kernels.hpp): per block of
+// kAdmmBlockRows rows, lane i mod kAdmmResidualLanes adds the terms of its
+// rows column by column, rows ascending; a block's lanes add up in lane
+// order and the block sums in block order.
+template <class Term>
+real_t block_lane_sum(index_t rows, index_t cols, const Term& term) {
+  real_t total = 0.0;
+  for (index_t r0 = 0; r0 < rows; r0 += kAdmmBlockRows) {
+    real_t lanes[kAdmmResidualLanes] = {};
+    for (index_t j = 0; j < cols; ++j) {
+      for (index_t i = r0; i < std::min(rows, r0 + kAdmmBlockRows); ++i) {
+        lanes[(i - r0) % kAdmmResidualLanes] += term(i, j);
       }
-      total += tile;
     }
-    return total;
-  };
-  simgpu::Device dev(simgpu::a100());
-
-  Matrix want_h = h;
-  for (index_t i = 0; i < n; ++i) {
-    want_h.data()[i] = std::max(t.data()[i] - u.data()[i], 0.0);
+    real_t block = 0.0;
+    for (real_t lane : lanes) block += lane;
+    total += block;
   }
-  const real_t want_delta = tiled_sum([&](index_t i) {
-    const real_t d = want_h.data()[i] - h.data()[i];
-    return d * d;
-  });
-  real_t delta = -1.0;
-  kernel_apply_proximity(dev, Proximity::non_negative(), 2.0, t, u, h, &delta);
-  EXPECT_EQ(std::memcmp(h.data(), want_h.data(), sizeof(real_t) * n), 0);
-  EXPECT_EQ(std::memcmp(&delta, &want_delta, sizeof delta), 0);
+  return total;
+}
 
-  Matrix want_u = u;
-  for (index_t i = 0; i < n; ++i) want_u.data()[i] += h.data()[i] - t.data()[i];
-  const real_t want_primal = tiled_sum([&](index_t i) {
-    const real_t d = h.data()[i] - t.data()[i];
-    return d * d;
-  });
-  const real_t want_h_sq =
-      tiled_sum([&](index_t i) { return h.data()[i] * h.data()[i]; });
-  const real_t want_u_sq =
-      tiled_sum([&](index_t i) { return want_u.data()[i] * want_u.data()[i]; });
-  real_t primal = -1.0, h_sq = -1.0, u_sq = -1.0;
-  kernel_dual_update(dev, h, t, u, &primal, &h_sq, &u_sq);
-  EXPECT_EQ(std::memcmp(u.data(), want_u.data(), sizeof(real_t) * n), 0);
-  EXPECT_EQ(std::memcmp(&primal, &want_primal, sizeof primal), 0);
-  EXPECT_EQ(std::memcmp(&h_sq, &want_h_sq, sizeof h_sq), 0);
-  EXPECT_EQ(std::memcmp(&u_sq, &want_u_sq, sizeof u_sq), 0);
+bool bitwise_equal(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) &&
+         (x.size() == 0 ||
+          std::memcmp(x.data(), y.data(),
+                      sizeof(real_t) * static_cast<std::size_t>(x.size())) ==
+              0);
+}
+
+bool bitwise_equal(real_t x, real_t y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+// The kernels' residual sums are fixed-lane partial sums per row block,
+// added in block order, so the values are bitwise the same at every worker
+// count. The oracle is that order, summed serially.
+TEST(AdmmKernels, ResidualSumsAreTileOrderedSerialSums) {
+  // 7 rows: one partial group of lanes. 3007 rows: several blocks, then a
+  // partial one whose columns end 7 rows past their last group of 8.
+  for (index_t rows : {7, 3007}) {
+    SCOPED_TRACE(::testing::Message() << "rows=" << rows);
+    const index_t rank = 7;
+    Rng rng(41);
+    Matrix t(rows, rank), u(rows, rank), h(rows, rank);
+    t.fill_uniform(rng, -1.0, 1.0);
+    u.fill_uniform(rng, -0.5, 0.5);
+    h.fill_uniform(rng, 0.0, 1.0);
+    // Magnitudes from 2^-20 to 2^20 (exact scalings), so terms in different
+    // lanes round differently and a sum in another order shows in the bits.
+    for (Matrix* x : {&t, &u, &h}) {
+      for (index_t i = 0; i < x->size(); ++i) {
+        const int exponent = static_cast<int>(i * 7 % 41) - 20;
+        x->data()[i] = std::ldexp(x->data()[i], exponent);
+      }
+    }
+    simgpu::Device dev(simgpu::a100());
+
+    Matrix want_h = h;
+    for (index_t i = 0; i < want_h.size(); ++i) {
+      want_h.data()[i] = std::max(t.data()[i] - u.data()[i], 0.0);
+    }
+    const real_t want_delta =
+        block_lane_sum(rows, rank, [&](index_t i, index_t j) {
+          const real_t d = want_h(i, j) - h(i, j);
+          return d * d;
+        });
+    real_t delta = -1.0;
+    kernel_apply_proximity(dev, Proximity::non_negative(), 2.0, t, u, h,
+                           &delta);
+    EXPECT_TRUE(bitwise_equal(h, want_h));
+    EXPECT_TRUE(bitwise_equal(delta, want_delta));
+
+    Matrix want_u = u;
+    for (index_t i = 0; i < want_u.size(); ++i) {
+      want_u.data()[i] += h.data()[i] - t.data()[i];
+    }
+    const real_t want_primal =
+        block_lane_sum(rows, rank, [&](index_t i, index_t j) {
+          const real_t d = h(i, j) - t(i, j);
+          return d * d;
+        });
+    const real_t want_h_sq = block_lane_sum(
+        rows, rank, [&](index_t i, index_t j) { return h(i, j) * h(i, j); });
+    const real_t want_u_sq =
+        block_lane_sum(rows, rank, [&](index_t i, index_t j) {
+          return want_u(i, j) * want_u(i, j);
+        });
+    real_t primal = -1.0, h_sq = -1.0, u_sq = -1.0;
+    kernel_dual_update(dev, h, t, u, &primal, &h_sq, &u_sq);
+    EXPECT_TRUE(bitwise_equal(u, want_u));
+    EXPECT_TRUE(bitwise_equal(primal, want_primal));
+    EXPECT_TRUE(bitwise_equal(h_sq, want_h_sq));
+    EXPECT_TRUE(bitwise_equal(u_sq, want_u_sq));
+  }
+}
+
+// The kernel-by-kernel cuADMM inner loop, the oracle of the fused row-block
+// pass: the three kernels plus dgemm, then the residual read-back.
+AdmmResiduals kernel_chain(simgpu::Device& dev, const Proximity& prox,
+                           const AdmmGram& gram, const Matrix& m, Matrix& h,
+                           Matrix& u, int iterations) {
+  Matrix t(h.rows(), h.cols()), htilde(h.rows(), h.cols());
+  AdmmResiduals r;
+  for (int iter = 0; iter < iterations; ++iter) {
+    kernel_compute_auxiliary(dev, m, h, u, gram.rho, t);
+    simgpu::dgemm(dev, la::Op::kNone, la::Op::kNone, 1.0, t, gram.inverse,
+                  0.0, htilde);
+    kernel_apply_proximity(dev, prox, gram.rho, htilde, u, h, &r.delta_h_sq);
+    kernel_dual_update(dev, h, htilde, u, &r.primal_sq, &r.h_sq, &r.u_sq);
+    simgpu::KernelStats sync;
+    sync.launches = 10;
+    dev.record("admm_residual_sync", sync);
+  }
+  return r;
+}
+
+std::vector<Proximity> elementwise_proxes() {
+  return {Proximity::identity(), Proximity::non_negative(),
+          Proximity::l1(0.3), Proximity::l1_non_negative(0.3),
+          Proximity::box(-0.2, 0.5)};
+}
+
+std::vector<Isa> supported_isas() {
+  std::vector<Isa> isas;
+  for (auto isa : {Isa::kPortable, Isa::kAvx2, Isa::kAvx512f}) {
+    if (isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+// One cuADMM update problem: S's pre-inverted Gram, a mixed-sign M (so
+// every prox is active somewhere), a start H and a warm dual U.
+struct FusedCase {
+  AdmmGram gram;
+  Matrix m, h0, u0;
+};
+
+FusedCase make_fused_case(index_t rows, index_t rank, std::uint64_t seed) {
+  FusedCase c;
+  const Instance inst = make_instance(std::max<index_t>(rows, 1), rank, seed);
+  c.gram = prepare_admm_gram(inst.s, /*preinvert=*/true);
+  Rng rng(seed + 1);
+  c.m.resize(rows, rank);
+  c.m.fill_uniform(rng, -2.0, 2.0);
+  c.h0.resize(rows, rank);
+  c.h0.fill_uniform(rng, -0.5, 1.0);
+  c.u0.resize(rows, rank);
+  c.u0.fill_uniform(rng, -0.3, 0.3);
+  return c;
+}
+
+// The fused row-block pass gives the kernel chain's H, U and residuals to
+// the bit, on every instruction-set variant, for every elementwise prox,
+// on shapes around the block and tile boundaries, with I < R and I >> R.
+TEST(AdmmFused, MatchesTheKernelChainBitwise) {
+  const std::vector<Isa> isas = supported_isas();
+  for (const Proximity& prox : elementwise_proxes()) {
+    for (index_t rows : {1, 7, 16, 17, 255, 256, 257, 3001}) {
+      for (index_t rank : {1, 3, 8, 32, 33}) {
+        SCOPED_TRACE(::testing::Message() << prox.name() << " rows=" << rows
+                                          << " R=" << rank);
+        const FusedCase c = make_fused_case(rows, rank, 70 + rows + rank);
+        simgpu::Device chain_dev(simgpu::a100());
+        Matrix h_want = c.h0, u_want = c.u0;
+        const AdmmResiduals want =
+            kernel_chain(chain_dev, prox, c.gram, c.m, h_want, u_want, 1);
+        for (Isa isa : isas) {
+          simgpu::Device dev(simgpu::a100());
+          Matrix h = c.h0, u = c.u0;
+          const la::GemmPanels inverse(1.0, c.gram.inverse, la::Op::kNone,
+                                       isa);
+          const AdmmResiduals got = kernel_fused_inner_iteration(
+              dev, prox, c.gram.rho, c.m, inverse, h, u, {}, isa);
+          EXPECT_TRUE(bitwise_equal(h, h_want)) << "variant " << int(isa);
+          EXPECT_TRUE(bitwise_equal(u, u_want)) << "variant " << int(isa);
+          EXPECT_TRUE(bitwise_equal(got.delta_h_sq, want.delta_h_sq));
+          EXPECT_TRUE(bitwise_equal(got.primal_sq, want.primal_sq));
+          EXPECT_TRUE(bitwise_equal(got.h_sq, want.h_sq));
+          EXPECT_TRUE(bitwise_equal(got.u_sq, want.u_sq));
+        }
+      }
+    }
+  }
+}
+
+// Through AdmmUpdate, a fused update records the kernel chain's launches:
+// the same names, KernelStats and order, so per-kernel totals and modeled
+// time match to the bit. The pass's host wall sits on its first launch, and
+// it sizes no I x R scratch.
+TEST(AdmmFused, RecordsTheKernelChainLaunches) {
+  for (index_t rows : {7, 16, 3001}) {  // 7 and 16 rows: I < R
+    for (index_t rank : {1, 32, 33}) {
+      SCOPED_TRACE(::testing::Message() << "rows=" << rows << " R=" << rank);
+      const FusedCase c = make_fused_case(rows, rank, 90 + rows + rank);
+      AdmmOptions opt;
+      opt.inner_iterations = 4;
+      const AdmmUpdate admm(opt);
+
+      simgpu::Device chain_dev(simgpu::a100());
+      simgpu::Tracer chain_trace;
+      chain_dev.set_tracer(&chain_trace);
+      Matrix h_want = c.h0, u_want = c.u0;
+      const AdmmResiduals want = kernel_chain(
+          chain_dev, opt.prox, c.gram, c.m, h_want, u_want,
+          opt.inner_iterations);
+
+      simgpu::Device dev(simgpu::a100());
+      simgpu::Tracer trace;
+      dev.set_tracer(&trace);
+      Matrix h = c.h0;
+      ModeState state;
+      state.dual = c.u0;
+      admm.update_with_gram(dev, c.gram, c.m, h, state);
+
+      EXPECT_TRUE(bitwise_equal(h, h_want));
+      EXPECT_TRUE(bitwise_equal(state.dual, u_want));
+      EXPECT_TRUE(state.aux.empty());
+      EXPECT_TRUE(state.scratch.empty());
+      EXPECT_EQ(admm.last().iterations, opt.inner_iterations);
+      EXPECT_TRUE(bitwise_equal(admm.last().primal_residual,
+                                want.primal_sq / want.h_sq));
+      EXPECT_TRUE(bitwise_equal(admm.last().dual_residual,
+                                want.delta_h_sq / want.u_sq));
+
+      ASSERT_EQ(dev.per_kernel().size(), chain_dev.per_kernel().size());
+      for (const auto& [name, stats] : chain_dev.per_kernel()) {
+        ASSERT_TRUE(dev.per_kernel().count(name)) << name;
+        EXPECT_EQ(std::memcmp(&dev.per_kernel().at(name), &stats,
+                              sizeof stats), 0) << name;
+      }
+      EXPECT_TRUE(bitwise_equal(dev.modeled_time_s(),
+                                chain_dev.modeled_time_s()));
+
+      const std::vector<simgpu::TraceSpan> spans = trace.spans();
+      const std::vector<simgpu::TraceSpan> chain_spans = chain_trace.spans();
+      ASSERT_EQ(spans.size(), chain_spans.size());
+      for (std::size_t i = 0; i < spans.size(); ++i) {
+        EXPECT_EQ(spans[i].kernel, chain_spans[i].kernel) << "span " << i;
+        EXPECT_EQ(std::memcmp(&spans[i].stats, &chain_spans[i].stats,
+                              sizeof spans[i].stats), 0) << "span " << i;
+        if (spans[i].kernel == "dgemm" ||
+            spans[i].kernel == "admm_apply_proximity" ||
+            spans[i].kernel == "admm_dual_update") {
+          EXPECT_EQ(spans[i].wall_s, 0.0) << spans[i].kernel;
+        }
+      }
+    }
+  }
 }
 
 // With deterministic residuals the tolerance test exits at the same inner
