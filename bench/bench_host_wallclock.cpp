@@ -14,24 +14,16 @@
 // Each (fixture, strategy) wall time is the best of N repeats and is checked
 // against mttkrp_ref before being trusted.
 //
-// The third section times the two MTTKRP engines (DESIGN.md §13) head to
-// head on a 4-way short-mode fixture: the flat per-mode BLCO kernels against
-// the dimension-tree reuse engine, one full AO iteration's MTTKRPs (all
-// modes) per measurement. Order 4 is where the chain's reuse has room to pay
-// (~9 vs 12 per-nonzero multiplies); the fixture's short modes keep the
-// factor gathers cache-resident so the flop saving shows up in host time.
-//
-// The fourth section pits the autotuner against the cost model (DESIGN.md
+// The third section pits the autotuner against the cost model (DESIGN.md
 // §14): run_tuning_trials picks a configuration for a 3-way fixture, and one
 // full AO iteration's MTTKRPs are timed under the tuned and the model-picked
 // configurations head to head.
 //
 // `--smoke` runs only the gated sections and exits nonzero when any gate
-// fails: privatized must beat atomic on the short-mode scatter fixture,
-// dimtree must not lose to flat on the 4-way fixture, and the tuned
-// configuration must not lose to the model-picked one by more than 5% —
-// the perf regression gates scripts/check.sh runs (CSTF_CHECK_SKIP_PERF=1
-// skips them there).
+// fails: privatized must beat atomic on the short-mode scatter fixture, and
+// the tuned configuration must not lose to the model-picked one by more
+// than 5% — the perf regression gates scripts/check.sh runs
+// (CSTF_CHECK_SKIP_PERF=1 skips them there).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -190,90 +182,6 @@ bool run_scatter_section(int repeats) {
   return ok;
 }
 
-/// Times one full AO iteration's MTTKRPs (all modes, best of N) through a
-/// BLCO backend, flat vs dimension-tree. Every mode's output is checked
-/// against mttkrp_ref before a time is trusted. Returns false when the
-/// smoke gate fails (dimtree slower than flat).
-bool run_dimtree_section(int repeats) {
-  const index_t rank = 32;
-  RandomTensorParams p;
-  p.dims = {768, 1024, 1536, 2048};
-  p.target_nnz = 150000;
-  p.seed = 13;
-  const SparseTensor x = generate_random(p);
-
-  std::vector<Matrix> factors;
-  for (int m = 0; m < x.num_modes(); ++m) {
-    factors.emplace_back(x.dim(m), rank);
-    fill_factor(factors.back(), m);
-  }
-  std::vector<Matrix> refs;
-  for (int m = 0; m < x.num_modes(); ++m) {
-    refs.emplace_back(x.dim(m), rank);
-    mttkrp_ref(x, factors, m, refs.back());
-  }
-
-  // One timed measurement = the full iteration's MTTKRP sequence. For the
-  // tree backend the lazy chain folds run inside the mode-n calls, so their
-  // cost is charged — this is the steady-state per-iteration work, not a
-  // warm-cache shortcut.
-  auto best_of = [&](const BlcoBackend& backend) {
-    simgpu::Device dev(simgpu::a100());
-    double best = 1e30;
-    for (int rep = 0; rep < repeats; ++rep) {
-      double total = 0.0;
-      for (int m = 0; m < x.num_modes(); ++m) {
-        Matrix out(x.dim(m), rank);
-        const double t0 = now_s();
-        backend.mttkrp(dev, factors, m, out);
-        total += now_s() - t0;
-        CSTF_CHECK_MSG(
-            max_abs_diff(refs[static_cast<std::size_t>(m)], out) <=
-                1e-6 * static_cast<real_t>(rank),
-            "mttkrp engine disagrees with mttkrp_ref on mode " << m);
-      }
-      best = std::min(best, total);
-    }
-    return best;
-  };
-
-  BlcoBackend flat(x);
-  BlcoBackend tree(x);
-  tree.enable_dimtree(x, rank);
-  const double flat_s = best_of(flat);
-  const double tree_s = best_of(tree);
-
-  std::printf(
-      "\n=== MTTKRP engine wall time, best of %d (4-way %lldx%lldx%lldx%lld, "
-      "%lld nnz, all modes, R=%lld) ===\n\n",
-      repeats, static_cast<long long>(x.dim(0)),
-      static_cast<long long>(x.dim(1)), static_cast<long long>(x.dim(2)),
-      static_cast<long long>(x.dim(3)), static_cast<long long>(x.nnz()),
-      static_cast<long long>(rank));
-  std::printf("%-14s %12s %12s %12s\n", "Engine", "flat[ms]", "dimtree[ms]",
-              "flat/tree");
-  std::printf("%-14s %12.3f %12.3f %12.3f\n", "blco", flat_s * 1e3,
-              tree_s * 1e3, flat_s / tree_s);
-
-  if (bench::JsonSession* session = bench::JsonSession::current()) {
-    bench::BenchRecord rec;
-    rec.dataset = "dimtree_4way";
-    rec.machine = "host";
-    rec.rank = rank;
-    rec.wall.mttkrp = flat_s;
-    rec.extras.emplace_back("mttkrp_flat_wall_s", flat_s);
-    rec.extras.emplace_back("mttkrp_dimtree_wall_s", tree_s);
-    session->add_record(std::move(rec));
-  }
-
-  const bool ok = tree_s <= flat_s;
-  std::printf("\nGate: dimtree %s flat on the 4-way fixture (%.3f ms vs "
-              "%.3f ms)\n",
-              ok ? "does not lose to" : "LOSES TO", tree_s * 1e3,
-              flat_s * 1e3);
-  return ok;
-}
-
 /// Times one AO iteration's MTTKRPs (all modes, best of N) under the cost
 /// model's configuration and under the autotuned one. The autotuner defers
 /// to the model whenever the measured win is inside its tie-break tolerance,
@@ -326,24 +234,14 @@ bool run_autotune_section(int repeats) {
     return best;
   };
 
-  // Model side: the exact configuration a kModel run would use, kAuto engine
-  // resolution included.
-  BlcoBackend model_backend(x);
-  const MttkrpMode model_mode = resolve_mttkrp_mode(
-      x, rank, ScatterOptions{}, simgpu::a100(), kDefaultDimtreeBudgetBytes,
-      model_backend.tensor().storage_bytes());
-  if (model_mode == MttkrpMode::kDimtree) {
-    model_backend.enable_dimtree(x, rank);
-  }
+  // Model side: the exact configuration a kModel run would use.
+  const BlcoBackend model_backend(x);
   const double model_s = best_of(model_backend);
 
-  // Tuned side: the record's per-mode scatter picks, engine, and chunk knob.
+  // Tuned side: the record's per-mode scatter picks and chunk knob.
   ScatterOptions tuned_scatter;
   tuned_scatter.per_mode = rec.scatter_per_mode;
-  BlcoBackend tuned_backend(x, 4096, tuned_scatter);
-  if (rec.mttkrp_mode == MttkrpMode::kDimtree) {
-    tuned_backend.enable_dimtree(x, rank, rec.dimtree_budget_bytes);
-  }
+  const BlcoBackend tuned_backend(x, 4096, tuned_scatter);
   const index_t saved_chunks = parallel_chunks_per_worker();
   if (rec.chunks_per_worker > 0) {
     set_parallel_chunks_per_worker(static_cast<index_t>(rec.chunks_per_worker));
@@ -361,12 +259,11 @@ bool run_autotune_section(int repeats) {
               "tuned/model");
   std::printf("%-14s %12.3f %12.3f %12.3f\n", "iteration", model_s * 1e3,
               tuned_s * 1e3, tuned_s / model_s);
-  std::printf("tuned: engine %s, chunks/worker %u, scatter",
-              mttkrp_mode_name(rec.mttkrp_mode), rec.chunks_per_worker);
+  std::printf("tuned: chunks/worker %u, scatter", rec.chunks_per_worker);
   for (ScatterStrategy s : rec.scatter_per_mode) {
     std::printf(" %s", scatter_strategy_name(s));
   }
-  std::printf("  (model engine %s)\n", mttkrp_mode_name(model_mode));
+  std::printf("\n");
 
   if (bench::JsonSession* session = bench::JsonSession::current()) {
     bench::BenchRecord brec;
@@ -444,18 +341,11 @@ int main(int argc, char** argv) {
   }
 
   const bool scatter_ok = run_scatter_section(smoke ? 7 : 3);
-  const bool dimtree_ok = run_dimtree_section(smoke ? 7 : 3);
   const bool autotune_ok = run_autotune_section(smoke ? 7 : 3);
   if (smoke && !scatter_ok) {
     std::fprintf(stderr,
                  "bench_host_wallclock --smoke: privatized scatter slower "
                  "than atomic on the short-mode fixture\n");
-    return 1;
-  }
-  if (smoke && !dimtree_ok) {
-    std::fprintf(stderr,
-                 "bench_host_wallclock --smoke: dimtree MTTKRP slower than "
-                 "flat on the 4-way fixture\n");
     return 1;
   }
   if (smoke && !autotune_ok) {

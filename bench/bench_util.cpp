@@ -347,32 +347,6 @@ ModeledIteration gpu_iteration(const DatasetAnalog& data,
                            /*wall=*/nullptr, per_mode);
 }
 
-ModeledIteration gpu_iteration_mttkrp(const DatasetAnalog& data,
-                                      const simgpu::DeviceSpec& gpu_spec,
-                                      UpdateScheme scheme, index_t rank,
-                                      MttkrpMode engine, ModeledIteration* wall,
-                                      std::vector<ModeledIteration>* per_mode) {
-  CSTF_CHECK_MSG(engine != MttkrpMode::kAuto,
-                 "gpu_iteration_mttkrp wants an explicit engine; resolve "
-                 "kAuto with full_scale_mttkrp_mode first");
-  BlcoBackend backend(data.tensor);
-  if (engine == MttkrpMode::kDimtree) backend.enable_dimtree(data.tensor, rank);
-  auto update = CstfFramework::make_update(scheme, Proximity::non_negative(),
-                                           /*admm_inner_iterations=*/10);
-  return modeled_iteration(data, backend, *update, gpu_spec, rank, wall,
-                           per_mode);
-}
-
-MttkrpMode full_scale_mttkrp_mode(const DatasetAnalog& data,
-                                  const simgpu::DeviceSpec& gpu_spec,
-                                  index_t rank) {
-  const BlcoBackend backend(data.tensor);
-  return resolve_mttkrp_mode(data.tensor, rank, ScatterOptions{}, gpu_spec,
-                             kDefaultDimtreeBudgetBytes,
-                             backend.tensor().storage_bytes(),
-                             data.nnz_scale());
-}
-
 ModeledIteration splatt_iteration(const DatasetAnalog& data, index_t rank) {
   CsfBackend backend(data.tensor);
   BlockAdmmOptions opt;

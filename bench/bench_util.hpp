@@ -108,24 +108,6 @@ ModeledIteration gpu_iteration(const DatasetAnalog& data,
                                UpdateScheme scheme, index_t rank,
                                std::vector<ModeledIteration>* per_mode = nullptr);
 ModeledIteration splatt_iteration(const DatasetAnalog& data, index_t rank);
-
-/// gpu_iteration() with the MTTKRP engine forced: kDimtree routes every
-/// mode through the dimension-tree reuse engine (DESIGN.md §13), kFlat
-/// matches gpu_iteration(). kAuto is rejected — resolve it explicitly with
-/// full_scale_mttkrp_mode() so benches report which engine actually ran.
-ModeledIteration gpu_iteration_mttkrp(
-    const DatasetAnalog& data, const simgpu::DeviceSpec& gpu_spec,
-    UpdateScheme scheme, index_t rank, MttkrpMode engine,
-    ModeledIteration* wall = nullptr,
-    std::vector<ModeledIteration>* per_mode = nullptr);
-
-/// The engine resolve_mttkrp_mode would pick for this dataset at FULL size:
-/// analog MTTKRP stats scaled by nnz_scale, flat streaming charged at the
-/// BLCO storage footprint — the kAuto decision for the real tensor rather
-/// than for the in-memory analog.
-MttkrpMode full_scale_mttkrp_mode(const DatasetAnalog& data,
-                                  const simgpu::DeviceSpec& gpu_spec,
-                                  index_t rank);
 ModeledIteration planc_sparse_iteration(const DatasetAnalog& data,
                                         UpdateScheme scheme, index_t rank);
 

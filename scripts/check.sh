@@ -3,15 +3,15 @@
 # negative self-test), then the full test suite twice — a plain
 # RelWithDebInfo build, then an ASan+UBSan build (-DCSTF_SANITIZE=ON). Any
 # doc drift, compile error, test failure, or sanitizer report fails the
-# script. After the plain pass, the kernels-labeled group (la + mttkrp +
-# updates) runs again under CSTF_THREADS=1 and CSTF_THREADS=2.
+# script. After the plain pass, the whole suite runs again under
+# CSTF_THREADS=1, and the kernels-labeled group (la + mttkrp + updates)
+# under CSTF_THREADS=2.
 #
-# After the plain pass, a perf-smoke step runs the scatter-engine and
-# MTTKRP-engine fixtures (bench_host_wallclock --smoke): it fails if the
-# privatized strategy is slower than atomic scatter on the short-mode
-# fixture or if the dimension-tree engine is slower than the flat kernels
-# on the 4-way fixture (DESIGN.md §13), and validates the emitted JSON
-# telemetry. A serve-smoke step then runs the serve-labeled
+# After that, a perf-smoke step runs bench_host_wallclock --smoke, which has
+# two gates: the privatized scatter strategy must beat atomic scatter on the
+# short-mode fixture, and the autotuned MTTKRP configuration must not lose
+# to the cost model's pick by more than 5%. It also validates the emitted
+# JSON telemetry. A serve-smoke step then runs the serve-labeled
 # ctest group, a full save/load/serve workload through cstf_serve, and the
 # fold-in throughput bench (batched + pre-inverted must beat per-request
 # ADMM on modeled and host clocks at batch >= 8), and a chaos smoke replays
@@ -29,11 +29,11 @@
 # Knobs (env vars): CSTF_CHECK_SKIP_SANITIZE=1 skips the second pass (useful
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
-# exec-, dimtree-, autotune-, metrics- and kernels-labeled ctest groups (the
-# executor/plan-cache layer every concurrent path now submits through, the
-# dimension-tree engine's parallel chain derives, the metrics registry's
-# lock-free counter hot path, and the host kernels with the atomic scatter's
-# row locks), CSTF_THREADS.
+# exec-, autotune-, metrics- and kernels-labeled ctest groups (the
+# executor/plan-cache layer every concurrent path now submits through,
+# including a model publish under concurrent serving traffic, the metrics
+# registry's lock-free counter hot path, and the host kernels with the
+# atomic scatter's row locks), CSTF_THREADS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,17 +48,17 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
-echo "=== kernels group at one and two threads (thread-count matrix)"
-# The host kernels must give the same bits at any worker count; the plain
-# pass above ran them at the default (nproc) count. Two threads split the
-# row blocks of the ADMM kernels and the gemm unevenly.
-CSTF_THREADS=1 ctest --test-dir build -L kernels --output-on-failure
+echo "=== full suite at one thread, kernels group at two (thread-count matrix)"
+# Tier-1 must pass at any worker count; the plain pass above ran at the
+# default (nproc) count. Two threads split the row blocks of the ADMM
+# kernels and the gemm unevenly.
+CSTF_THREADS=1 ctest --test-dir build --output-on-failure -j
 CSTF_THREADS=2 ctest --test-dir build -L kernels --output-on-failure
 
 if [ "${CSTF_CHECK_SKIP_PERF:-0}" = "1" ]; then
   echo "=== perf smoke skipped (CSTF_CHECK_SKIP_PERF=1)"
 else
-  echo "=== perf smoke: scatter strategies + dimtree-vs-flat MTTKRP"
+  echo "=== perf smoke: scatter-strategy gate + autotuned-vs-model gate"
   mkdir -p results/json
   CSTF_BENCH_JSON=1 CSTF_BENCH_JSON_DIR=results/json \
     ./build/bench/bench_host_wallclock --smoke
@@ -102,14 +102,12 @@ else
 fi
 
 if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
-  echo "=== TSan pass: exec, dimtree, autotune, metrics and kernels suites"
+  echo "=== TSan pass: exec, autotune, metrics and kernels suites"
   # TSan and ASan cannot share a binary (the configure step enforces the
   # exclusivity), so this is its own build tree. The exec group covers the
   # executor, plan caches, and the trainer/streaming/serving paths that
-  # submit through them — the layer where stream/event races would live.
-  # The dimtree group rides along: the chain derives scatter through the
-  # same parallel accumulation engine, and its lazy extends must be race-
-  # free against the plan's explicit extend ops.
+  # submit through them — the layer where stream/event races would live —
+  # and a model publish that shares the thread pool with serving traffic.
   # The autotune group rides along: micro-trials run warmup+timed kernels
   # through the same parallel-for engine the chunk sweep retunes.
   # The metrics group rides along: the registry's lock-free counter hot path
@@ -121,7 +119,7 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   cmake -B build-tsan -S . -DCSTF_TSAN=ON
   cmake --build build-tsan -j
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan -L 'exec|dimtree|autotune|metrics|kernels' \
+    ctest --test-dir build-tsan -L 'exec|autotune|metrics|kernels' \
     --output-on-failure
 fi
 
@@ -137,14 +135,13 @@ cmake --build build-asan -j
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --test-dir build-asan --output-on-failure -j
 
-echo "=== dimtree + autotune + metrics groups under ASan+UBSan (label re-run)"
-# Redundant with the full sanitized suite above, but keeps the dimension-
-# tree engine's pointer-heavy chain arithmetic, the tuning cache's binary
-# parser (attacker-controlled bytes on the load path), and the metrics
-# registry/exposition layer visibly gated even if the full pass is ever
-# narrowed.
+echo "=== autotune + metrics groups under ASan+UBSan (label re-run)"
+# Redundant with the full sanitized suite above, but keeps the tuning
+# cache's binary parser (attacker-controlled bytes on the load path) and the
+# metrics registry/exposition layer visibly gated even if the full pass is
+# ever narrowed.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ctest --test-dir build-asan -L 'dimtree|autotune|metrics' --output-on-failure
+  ctest --test-dir build-asan -L 'autotune|metrics' --output-on-failure
 
 echo "=== chaos smoke under ASan: fault-recovery paths must be leak-free"
 # The retry/degraded paths unwind through exceptions mid-batch; run them under

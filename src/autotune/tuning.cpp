@@ -10,6 +10,7 @@
 #include "common/timer.hpp"
 #include "la/matrix.hpp"
 #include "metrics/registry.hpp"
+#include "mttkrp/blco_mttkrp.hpp"
 #include "parallel/parallel_for.hpp"
 #include "simgpu/device.hpp"
 
@@ -47,7 +48,7 @@ bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
 }
 
 /// The strategy the cost model alone would run for this mode — through the
-/// same lens the engines use (deterministic forces the sorted order, the one
+/// same lens the backends use (deterministic forces the sorted order, the one
 /// that reproduces the reference bit-for-bit).
 ScatterStrategy model_scatter_pick(const ScatterOptions& opts,
                                    index_t mode_len, index_t rank,
@@ -57,7 +58,7 @@ ScatterStrategy model_scatter_pick(const ScatterOptions& opts,
 }
 
 /// Candidate strategies for one mode. An explicit request (or determinism)
-/// collapses the set to the one strategy the engines would actually run;
+/// collapses the set to the one strategy the kernels would actually run;
 /// kAuto opens the full set, privatized gated on full-size feasibility.
 std::vector<ScatterStrategy> scatter_candidates(const ScatterOptions& opts,
                                                 index_t mode_len, index_t rank,
@@ -72,61 +73,40 @@ std::vector<ScatterStrategy> scatter_candidates(const ScatterOptions& opts,
   return c;
 }
 
-/// Times one MTTKRP of `mode` with a forced strategy on the (budget-0 =
-/// always flat, still metered) engine. A fresh Device per repeat keeps the
-/// modeled time per-execution; the warmup run builds the sorted plan and
-/// leases scratch outside the timed window.
-TrialTime time_single_mode(DimTreeEngine& eng,
-                           const std::vector<Matrix>& factors, int mode,
-                           ScatterStrategy strategy,
-                           const ScatterOptions& base,
-                           const simgpu::DeviceSpec& spec,
-                           std::uint32_t best_of, Matrix& out) {
+/// One MTTKRP of `mode` with a forced strategy, dispatched exactly like
+/// BlcoBackend::mttkrp: the BLCO kernel training runs, with the sorted plan
+/// taken from `plans`.
+void run_blco_mode(simgpu::Device& dev, const BlcoTensor& blco,
+                   ScatterPlanCache& plans, const std::vector<Matrix>& factors,
+                   int mode, ScatterStrategy strategy,
+                   const ScatterOptions& base, Matrix& out) {
   ScatterOptions o = base;
   o.strategy = strategy;
-  {
-    simgpu::Device warm(spec);
-    eng.mttkrp(warm, factors, mode, out, o);
+  o.strategy = resolve_scatter_strategy_for_mode(
+      o, mode, out.rows(), out.cols(), blco.nnz());
+  const ScatterPlan* plan = nullptr;
+  if (o.strategy == ScatterStrategy::kSorted) {
+    plan = &plans.get(mode, [&] { return blco_scatter_plan(blco, mode); });
   }
-  TrialTime t;
-  for (std::uint32_t rep = 0; rep < std::max<std::uint32_t>(1, best_of);
-       ++rep) {
-    simgpu::Device dev(spec);
-    Timer timer;
-    eng.mttkrp(dev, factors, mode, out, o);
-    t.wall_s = std::min(t.wall_s, timer.seconds());
-    t.modeled_s = dev.modeled_time_s();
-    count_trial();
-  }
-  return t;
+  mttkrp_blco(dev, blco, factors, mode, out, o, plan);
 }
 
-/// Times one full AO iteration's MTTKRP sequence (every mode in ascending
-/// order, the trainer's sweep) with per-mode forced strategies.
-TrialTime time_iteration(DimTreeEngine& eng,
-                         const std::vector<Matrix>& factors,
-                         const std::vector<ScatterStrategy>& per_mode,
-                         const ScatterOptions& base,
-                         const simgpu::DeviceSpec& spec,
-                         std::uint32_t best_of, std::vector<Matrix>& outs) {
-  const int modes = eng.num_modes();
-  auto sweep = [&](simgpu::Device& dev) {
-    for (int m = 0; m < modes; ++m) {
-      ScatterOptions o = base;
-      o.strategy = per_mode[static_cast<std::size_t>(m)];
-      eng.mttkrp(dev, factors, m, outs[static_cast<std::size_t>(m)], o);
-    }
-  };
+/// Times `body(dev)` best-of-N. The warmup run builds the sorted plans and
+/// leases scratch outside the timed window; a fresh Device per repeat keeps
+/// the modeled time per-execution.
+template <typename Body>
+TrialTime time_best_of(const simgpu::DeviceSpec& spec, std::uint32_t best_of,
+                       const Body& body) {
   {
     simgpu::Device warm(spec);
-    sweep(warm);
+    body(warm);
   }
   TrialTime t;
   for (std::uint32_t rep = 0; rep < std::max<std::uint32_t>(1, best_of);
        ++rep) {
     simgpu::Device dev(spec);
     Timer timer;
-    sweep(dev);
+    body(dev);
     t.wall_s = std::min(t.wall_s, timer.seconds());
     t.modeled_s = dev.modeled_time_s();
     count_trial();
@@ -156,15 +136,13 @@ bool parse_tuning_policy(const std::string& name, TuningPolicy* out) {
 TuningKey make_tuning_key(const TuneInputs& in, const TuningOptions& opts) {
   TuningKey key;
   key.device_digest = digest_device_spec(in.spec);
-  key.tensor_digest = digest_tensor_fingerprint(*in.tensor, in.layout_tag);
+  key.tensor_digest = digest_tensor_fingerprint(
+      *in.tensor, static_cast<std::uint64_t>(in.block_capacity));
   key.rank = static_cast<std::uint64_t>(in.rank);
   DigestBuilder d;
   d.u64(static_cast<std::uint64_t>(in.scatter.strategy))
       .boolean(in.scatter.deterministic)
       .f64(in.scatter.privatization_budget_bytes)
-      .u64(static_cast<std::uint64_t>(in.requested_mode))
-      .f64(in.dimtree_budget_bytes)
-      .f64(in.flat_stream_bytes)
       .u64(opts.seed)
       .u64(opts.best_of)
       .u64(opts.max_sample_nnz)
@@ -218,12 +196,12 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
   const index_t rank = in.rank;
   const double tol = std::max(0.0, opts.tie_break_tolerance);
 
+  // The sample in the layout training runs: a BLCO tensor at the run's block
+  // capacity, with its own sorted-scatter plans shared by every trial.
   const SparseTensor sample =
       sample_nonzeros(full, opts.max_sample_nnz, opts.seed);
-  const double sample_frac =
-      full.nnz() > 0
-          ? static_cast<double>(sample.nnz()) / static_cast<double>(full.nnz())
-          : 1.0;
+  const BlcoTensor blco(sample, in.block_capacity);
+  ScatterPlanCache plans;
 
   // Seeded factor fills: the trials are a fixed function of (tensor, seed).
   Rng rng(opts.seed);
@@ -238,11 +216,23 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
     outs.emplace_back(full.dim(m), rank);
   }
 
-  // Budget 0 keeps this engine permanently on its flat, metered, from-raw
-  // path — the harness for single-mode strategy trials (the plain flat
-  // kernels are unmetered; this one records KernelStats per call).
-  DimTreeEngine flat_eng(sample, rank, /*budget_bytes=*/0.0);
-  flat_eng.set_flat_stream_bytes(in.flat_stream_bytes * sample_frac);
+  auto time_mode = [&](int m, ScatterStrategy s) {
+    return time_best_of(in.spec, opts.best_of, [&](simgpu::Device& dev) {
+      run_blco_mode(dev, blco, plans, factors, m, s, in.scatter,
+                    outs[static_cast<std::size_t>(m)]);
+    });
+  };
+  // One full AO iteration's MTTKRP sequence (every mode in ascending order,
+  // the trainer's sweep) with per-mode forced strategies.
+  auto time_sweep = [&](const std::vector<ScatterStrategy>& per_mode) {
+    return time_best_of(in.spec, opts.best_of, [&](simgpu::Device& dev) {
+      for (int m = 0; m < modes; ++m) {
+        run_blco_mode(dev, blco, plans, factors, m,
+                      per_mode[static_cast<std::size_t>(m)], in.scatter,
+                      outs[static_cast<std::size_t>(m)]);
+      }
+    });
+  };
 
   // Phase 1: per-mode scatter strategy. The model's pick is the prior; a
   // candidate must beat it by more than the tolerance to displace it.
@@ -259,10 +249,7 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
     double best_metric = std::numeric_limits<double>::infinity();
     double prior_metric = std::numeric_limits<double>::infinity();
     for (ScatterStrategy s : candidates) {
-      const TrialTime t = time_single_mode(
-          flat_eng, factors, m, s, in.scatter, in.spec, opts.best_of,
-          outs[static_cast<std::size_t>(m)]);
-      const double metric = rank_metric(t, opts.use_host_clock);
+      const double metric = rank_metric(time_mode(m, s), opts.use_host_clock);
       if (metric < best_metric) {
         best_metric = metric;
         best = s;
@@ -276,72 +263,24 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
     chosen_per_mode.push_back(best);
   }
 
-  // Phase 2: MTTKRP engine. Feasibility is judged at full size — the chain
-  // the real run would allocate, not the sample's.
-  const double full_chain_bytes = static_cast<double>(full.nnz()) *
-                                  static_cast<double>(rank) * simgpu::kWord;
-  const bool tree_feasible =
-      modes >= 2 && full_chain_bytes <= in.dimtree_budget_bytes;
-  const MttkrpMode model_engine =
-      in.requested_mode != MttkrpMode::kAuto
-          ? in.requested_mode
-          : resolve_mttkrp_mode(full, rank, in.scatter, in.spec,
-                                in.dimtree_budget_bytes, in.flat_stream_bytes);
-
-  std::vector<MttkrpMode> engine_candidates;
-  if (in.requested_mode != MttkrpMode::kAuto) {
-    engine_candidates.push_back(in.requested_mode);
-  } else {
-    engine_candidates.push_back(MttkrpMode::kFlat);
-    if (tree_feasible) engine_candidates.push_back(MttkrpMode::kDimtree);
-  }
-
-  DimTreeEngine tree_eng(sample, rank, /*budget_bytes=*/
-                         std::max(1.0, 2.0 * static_cast<double>(sample.nnz()) *
-                                           static_cast<double>(rank) *
-                                           simgpu::kWord));
-  tree_eng.set_flat_stream_bytes(in.flat_stream_bytes * sample_frac);
-
-  auto time_engine = [&](MttkrpMode mode,
-                         const std::vector<ScatterStrategy>& per_mode) {
-    DimTreeEngine& eng =
-        mode == MttkrpMode::kDimtree ? tree_eng : flat_eng;
-    return time_iteration(eng, factors, per_mode, in.scatter, in.spec,
-                          opts.best_of, outs);
-  };
-
-  MttkrpMode chosen_engine = engine_candidates.front();
-  TrialTime chosen_time;
-  double best_metric = std::numeric_limits<double>::infinity();
-  for (MttkrpMode mode : engine_candidates) {
-    const TrialTime t = time_engine(mode, chosen_per_mode);
-    const double metric = rank_metric(t, opts.use_host_clock);
-    if (metric < best_metric) {
-      best_metric = metric;
-      chosen_engine = mode;
-      chosen_time = t;
-    }
-  }
-
-  // Phase 3: the cost model's full configuration, timed for the evidence
-  // record — and as the final prior: if the model's configuration is within
-  // tolerance of the trial winner, it IS the decision (so tuned runs never
-  // regress the model path beyond noise).
+  // Phase 2: the whole sweep under the per-mode winners, and under the cost
+  // model's configuration for the evidence record — which is also the final
+  // prior: if the model's configuration is within tolerance of the winners,
+  // it IS the decision (so tuned runs never regress the model path beyond
+  // noise).
+  TrialTime chosen_time = time_sweep(chosen_per_mode);
   TrialTime model_time = chosen_time;
-  const bool model_differs =
-      model_engine != chosen_engine || model_per_mode != chosen_per_mode;
-  if (model_differs) {
-    model_time = time_engine(model_engine, model_per_mode);
+  if (model_per_mode != chosen_per_mode) {
+    model_time = time_sweep(model_per_mode);
     const double chosen_metric = rank_metric(chosen_time, opts.use_host_clock);
     const double model_metric = rank_metric(model_time, opts.use_host_clock);
     if (model_metric <= chosen_metric * (1.0 + tol)) {
-      chosen_engine = model_engine;
       chosen_per_mode = model_per_mode;
       chosen_time = model_time;
     }
   }
 
-  // Phase 4: dynamic-chunk oversubscription, wall-clock only (the roofline
+  // Phase 3: dynamic-chunk oversubscription, wall-clock only (the roofline
   // does not see chunking, so there is nothing to rank without the host
   // clock). The default wins ties.
   std::uint32_t chosen_chunks = 0;
@@ -354,7 +293,7 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
     double default_wall = std::numeric_limits<double>::infinity();
     for (std::uint32_t c : {2u, 4u, 8u}) {
       set_parallel_chunks_per_worker(static_cast<index_t>(c));
-      const TrialTime t = time_engine(chosen_engine, chosen_per_mode);
+      const TrialTime t = time_sweep(chosen_per_mode);
       if (t.wall_s < best_wall) {
         best_wall = t.wall_s;
         best_chunks = c;
@@ -368,8 +307,6 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
 
   TuningRecord rec;
   rec.scatter_per_mode = chosen_per_mode;
-  rec.mttkrp_mode = chosen_engine;
-  rec.dimtree_budget_bytes = in.dimtree_budget_bytes;
   rec.chunks_per_worker = chosen_chunks;
   rec.measured_best_s = chosen_time.wall_s;
   rec.measured_model_s = model_time.wall_s;
@@ -388,14 +325,7 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
 
 bool record_applies(const TuningRecord& record, const TuneInputs& in) {
   const SparseTensor& x = *in.tensor;
-  if (record.mttkrp_mode == MttkrpMode::kAuto) return false;
   if (static_cast<int>(record.scatter_per_mode.size()) != x.num_modes()) {
-    return false;
-  }
-  const double chain_bytes = static_cast<double>(x.nnz()) *
-                             static_cast<double>(in.rank) * simgpu::kWord;
-  if (record.mttkrp_mode == MttkrpMode::kDimtree &&
-      chain_bytes > in.dimtree_budget_bytes) {
     return false;
   }
   for (int m = 0; m < x.num_modes(); ++m) {

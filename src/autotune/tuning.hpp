@@ -1,15 +1,16 @@
-// Measurement-driven autotuning for the MTTKRP engine stack.
+// Measurement-driven autotuning for the MTTKRP kernels.
 //
-// The cost model (resolve_scatter_strategy / resolve_mttkrp_mode) picks the
-// scatter strategy, the MTTKRP engine, and the chunking per run from the
-// roofline alone; it is only as good as its calibration and re-derives the
-// same answer every process. This module closes the loop the way production
-// kernel stacks do: short, seeded, best-of-N *micro-trials* of each candidate
+// The cost model (resolve_scatter_strategy) picks the scatter strategy per
+// mode from the roofline alone, and the chunking is a fixed default; the
+// model is only as good as its calibration and re-derives the same answer
+// every process. This module closes the loop the way production kernel
+// stacks do: short, seeded, best-of-N *micro-trials* of each candidate
 // configuration on a deterministic nonzero sample, executed through the
-// metered simgpu path so every trial records both host-wallclock and modeled
-// evidence; the cost model remains the prior and the tie-breaker (a measured
-// win smaller than the tolerance defers to the model's pick). Decisions are
-// cached persistently (tuning_cache.hpp) so later runs skip the trials.
+// metered BLCO kernels training runs (mttkrp_blco) so every trial records
+// both host-wallclock and modeled evidence; the cost model remains the prior
+// and the tie-breaker (a measured win smaller than the tolerance defers to
+// the model's pick). Decisions are cached persistently (tuning_cache.hpp) so
+// later runs skip the trials.
 //
 // Three policies, threaded through FrameworkOptions:
 //   kModel   — no tuning at all: the cost model decides, bit-identical to
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "autotune/tuning_cache.hpp"
-#include "mttkrp/dimtree.hpp"
 #include "mttkrp/scatter.hpp"
 #include "simgpu/device_spec.hpp"
 #include "tensor/coo.hpp"
@@ -75,19 +75,13 @@ struct TuneInputs {
   index_t rank = 0;
   simgpu::DeviceSpec spec;
 
-  /// Requested (pre-tuning) options: an explicit scatter strategy or MTTKRP
-  /// mode narrows the candidate set to exactly that request.
+  /// Requested (pre-tuning) scatter options: an explicit strategy or
+  /// determinism narrows the candidate set to exactly that request.
   ScatterOptions scatter;
-  MttkrpMode requested_mode = MttkrpMode::kAuto;
-  double dimtree_budget_bytes = kDefaultDimtreeBudgetBytes;
 
-  /// Resident-format streamed footprint for flat-vs-tree modeling (BLCO
-  /// storage bytes); 0 = raw COO footprint.
-  double flat_stream_bytes = 0.0;
-
-  /// Layout tag folded into the tensor fingerprint (the BLCO block
-  /// capacity for training records).
-  std::uint64_t layout_tag = 0;
+  /// BLCO block capacity of the run: the trials build the sample's BLCO
+  /// tensor at it, and it is folded into the tensor fingerprint.
+  index_t block_capacity = 4096;
 };
 
 /// The four-digest cache key for these inputs under this protocol.

@@ -4,7 +4,7 @@
 // targets (digest of every DeviceSpec field), the tensor fingerprint (order,
 // mode lengths, nonzero count, layout tag), the factorization rank, and a
 // digest of the options that change which candidate configurations are legal
-// (determinism, privatization/dimtree budgets, the trial protocol itself).
+// (determinism, the privatization budget, the trial protocol itself).
 // A TuningRecord is the decision the micro-trials produced for that key plus
 // the evidence behind it — the measured (host wall) and modeled (roofline)
 // seconds of both the winning configuration and the cost model's own pick —
@@ -29,14 +29,15 @@
 #include <vector>
 
 #include "common/binio.hpp"
-#include "mttkrp/dimtree.hpp"
 #include "mttkrp/scatter.hpp"
 #include "simgpu/device_spec.hpp"
 #include "tensor/coo.hpp"
 
 namespace cstf::autotune {
 
-inline constexpr std::uint32_t kTuningCacheFormatVersion = 1;
+/// v2 dropped the retired MTTKRP engine choice and its chain budget from
+/// the record.
+inline constexpr std::uint32_t kTuningCacheFormatVersion = 2;
 inline constexpr std::size_t kDefaultTuningCacheCapacity = 64;
 
 /// Identity of one tuning problem. Two runs that agree on all four digests
@@ -61,12 +62,6 @@ struct TuningRecord {
   /// records that tune something other than the training loop (the serve
   /// batcher records fill only the batcher fields below).
   std::vector<ScatterStrategy> scatter_per_mode;
-
-  /// Concrete MTTKRP engine choice; kAuto means "not tuned" (serve records).
-  MttkrpMode mttkrp_mode = MttkrpMode::kAuto;
-
-  /// Chain budget the decision was made under (flat-vs-dimtree feasibility).
-  double dimtree_budget_bytes = 0.0;
 
   /// Tuned dynamic-chunking oversubscription (parallel_chunks_per_worker);
   /// 0 = untuned, keep the default.

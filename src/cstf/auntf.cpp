@@ -123,9 +123,6 @@ void Auntf::initialize() {
   phases_.clear();
   modeled_phase_.clear();
   dev_.reset();
-  // Fresh factors: any chain the reuse engine carried is stale, exactly
-  // like ScatterPlanCache invalidation on re-ingest.
-  if (DimTreeEngine* tree = backend_.dimtree()) tree->invalidate();
   initialized_ = true;
 }
 
@@ -143,12 +140,8 @@ exec::PlanKey Auntf::plan_key() const {
   // Structure-affecting options; convergence knobs (max_iterations,
   // fit_tolerance) deliberately excluded — they do not change the plan.
   DigestBuilder opts;
-  const DimTreeEngine* tree = backend_.dimtree();
   opts.boolean(options_.pipeline_streams)
       .boolean(options_.compute_fit)
-      // Dimtree changes the op set (extend ops, chain buffer, suffix
-      // reads); a budget change that flips chain_fits() must recompile.
-      .boolean(tree != nullptr && tree->chain_fits())
       .u64(options_.plan_digest_extra);
   return exec::PlanKey{tensor_id.value(),
                        static_cast<std::uint64_t>(options_.rank),
@@ -172,18 +165,6 @@ exec::Plan Auntf::compile_plan() {
   }
 
   Auntf* self = this;
-  if (DimTreeEngine* tree = backend_.dimtree()) {
-    // The chain only enters the plan when it fits the budget — in the flat
-    // fallback there is no intermediate to account for and the mttkrp ops
-    // keep their flat read sets.
-    if (tree->chain_fits()) {
-      spec.use_dimtree = true;
-      spec.dimtree_chain_bytes = tree->chain_bytes();
-      spec.dimtree_extend = [self](exec::ExecContext& ctx, int level) {
-        self->backend_.dimtree()->extend_to(ctx.device, self->factors_, level);
-      };
-    }
-  }
   spec.hadamard = [self](exec::ExecContext& ctx, int n) {
     hadamard_of_grams(ctx.device, self->grams_, n, self->ws_.s, ctx.stream);
   };
@@ -208,13 +189,6 @@ exec::Plan Auntf::compile_plan() {
         ctx.device, self->ws_.s, self->ws_.m_out,
         self->factors_[static_cast<std::size_t>(n)],
         self->states_[static_cast<std::size_t>(n)]);
-    // If the chain folded this factor, the whole chain is stale (the
-    // in-place buffer cannot shed one level). In the in-order sweep this
-    // is a no-op — level == n here, and the explicit extend op folds the
-    // fresh contents right after normalization.
-    if (DimTreeEngine* tree = self->backend_.dimtree()) {
-      tree->note_factor_updated(n);
-    }
   };
   spec.normalize = [self](exec::ExecContext& ctx, int n) {
     normalize_device(ctx.device, self->factors_[static_cast<std::size_t>(n)],
@@ -417,7 +391,6 @@ void Auntf::import_state(const TrainerState& state) {
   phases_.clear();
   modeled_phase_.clear();
   dev_.reset();
-  if (DimTreeEngine* tree = backend_.dimtree()) tree->invalidate();
   initialized_ = true;
 }
 

@@ -17,7 +17,6 @@
 #include "formats/blco.hpp"
 #include "formats/csf.hpp"
 #include "la/matrix.hpp"
-#include "mttkrp/dimtree.hpp"
 #include "mttkrp/scatter.hpp"
 #include "simgpu/device.hpp"
 #include "tensor/coo.hpp"
@@ -42,11 +41,6 @@ class MttkrpBackend {
   /// `out` must be dim(mode) x R.
   virtual void mttkrp(simgpu::Device& dev, const std::vector<Matrix>& factors,
                       int mode, Matrix& out) const = 0;
-
-  /// The dimension-tree reuse engine, when one is enabled on this backend
-  /// (see BlcoBackend::enable_dimtree); null otherwise. Non-owning; callers
-  /// use it to schedule chain extends and to invalidate on factor resets.
-  virtual DimTreeEngine* dimtree() const { return nullptr; }
 };
 
 /// BLCO-format backend (the GPU framework's engine). `scatter` selects the
@@ -73,20 +67,8 @@ class BlcoBackend final : public MttkrpBackend {
   /// (after kAuto resolution); kAuto until the first call.
   ScatterStrategy last_scatter_strategy() const { return last_strategy_; }
 
-  /// Enables dimension-tree MTTKRP reuse (DESIGN.md §13): every mttkrp()
-  /// call routes through the engine from now on. All modes go through it —
-  /// BLCO blocking reorders nonzeros, so mixing the flat BLCO kernel with
-  /// chain-derived modes would break the engine's bit-identity-to-
-  /// `mttkrp_ref` guarantee under deterministic scatter. Needs the original
-  /// COO tensor (BLCO does not keep it); `rank` fixes the chain width and
-  /// `budget_bytes` caps the chain intermediate.
-  void enable_dimtree(const SparseTensor& coo, index_t rank,
-                      double budget_bytes = kDefaultDimtreeBudgetBytes);
-
-  DimTreeEngine* dimtree() const override { return dimtree_.get(); }
-
-  /// The backend's own sorted-scatter plan cache (the flat path; the
-  /// dimtree engine keeps a separate one) — exposed for counter surfacing.
+  /// The backend's sorted-scatter plan cache — exposed for counter
+  /// surfacing.
   const ScatterPlanCache& scatter_plans() const { return plans_; }
 
  private:
@@ -95,7 +77,6 @@ class BlcoBackend final : public MttkrpBackend {
   ScatterOptions scatter_;
   mutable ScatterPlanCache plans_;
   mutable ScatterStrategy last_strategy_ = ScatterStrategy::kAuto;
-  std::unique_ptr<DimTreeEngine> dimtree_;
 };
 
 /// CSF backend with one tree per mode (SPLATT's ALLMODE configuration).

@@ -31,12 +31,12 @@ void read_matrix(HashingReader& r, Matrix& m, const char* what) {
 
 std::uint64_t digest_training_options(const FrameworkOptions& options) {
   // Field order is part of the digest definition; bump
-  // kCheckpointFormatVersion if it changes (v2 added mttkrp_mode, v3 added
-  // dimtree_budget_bytes, v4 added the autotuning policy / per-mode picks /
-  // chunk knob). Convergence and checkpoint cadence knobs (max_iterations,
-  // fit_tolerance, checkpoint_*) are deliberately excluded: a resumed run
-  // may legitimately extend or re-schedule a training job without
-  // invalidating its checkpoints.
+  // kCheckpointFormatVersion if it changes (v4 added the autotuning policy /
+  // per-mode picks / chunk knob; v5 dropped the retired MTTKRP engine
+  // selection and its chain budget). Convergence and checkpoint cadence
+  // knobs (max_iterations, fit_tolerance, checkpoint_*) are deliberately
+  // excluded: a resumed run may legitimately extend or re-schedule a
+  // training job without invalidating its checkpoints.
   DigestBuilder d;
   d.u64(static_cast<std::uint64_t>(options.rank))
       .u64(options.seed)
@@ -48,11 +48,6 @@ std::uint64_t digest_training_options(const FrameworkOptions& options) {
       .u64(static_cast<std::uint64_t>(options.blco_block_capacity))
       .u64(static_cast<std::uint64_t>(options.scatter.strategy))
       .boolean(options.scatter.deterministic)
-      .u64(static_cast<std::uint64_t>(options.mttkrp_mode))
-      // Under kAuto the budget decides which engine resolve_mttkrp_mode
-      // picks, and flat vs dimtree agree only to fp tolerance — so the
-      // budget shapes the numerics and must pin the digest.
-      .f64(options.dimtree_budget_bytes)
       .boolean(options.compute_fit);
   // Autotuning shapes the numerics the same way: a tuned per-mode scatter
   // pick changes the fp accumulation order, and the chunk knob resizes the

@@ -45,15 +45,10 @@ FrameworkOptions CstfFramework::apply_tuning(const SparseTensor& tensor,
   in.rank = options.rank;
   in.spec = options.device;
   in.scatter = options.scatter;
-  in.requested_mode = options.mttkrp_mode;
-  in.dimtree_budget_bytes = options.dimtree_budget_bytes;
-  // The BLCO backend is not built yet, so the trials model the raw COO
-  // stream footprint; the block capacity still enters the fingerprint.
-  in.layout_tag = static_cast<std::uint64_t>(options.blco_block_capacity);
+  in.block_capacity = options.blco_block_capacity;
   *outcome = autotune::resolve_tuning(in, options.tuning);
   if (outcome->applied) {
     options.scatter.per_mode = outcome->record.scatter_per_mode;
-    options.mttkrp_mode = outcome->record.mttkrp_mode;
     if (outcome->record.chunks_per_worker > 0) {
       set_parallel_chunks_per_worker(
           static_cast<index_t>(outcome->record.chunks_per_worker));
@@ -69,17 +64,6 @@ CstfFramework::CstfFramework(const SparseTensor& tensor,
       backend_(tensor, options_.blco_block_capacity, options_.scatter),
       update_(make_update(options_.scheme, options_.prox,
                           options_.admm_inner_iterations)) {
-  resolved_mttkrp_ = options_.mttkrp_mode;
-  if (resolved_mttkrp_ == MttkrpMode::kAuto) {
-    resolved_mttkrp_ = resolve_mttkrp_mode(
-        tensor, options_.rank, options_.scatter, options_.device,
-        options_.dimtree_budget_bytes, backend_.tensor().storage_bytes());
-  }
-  if (resolved_mttkrp_ == MttkrpMode::kDimtree) {
-    backend_.enable_dimtree(tensor, options_.rank,
-                            options_.dimtree_budget_bytes);
-  }
-
   AuntfOptions auntf;
   auntf.rank = options_.rank;
   auntf.max_iterations = options_.max_iterations;
@@ -93,8 +77,7 @@ CstfFramework::CstfFramework(const SparseTensor& tensor,
   // scatter-strategy change recompiles the plan.
   DigestBuilder scatter_digest;
   scatter_digest.u64(static_cast<std::uint64_t>(options_.scatter.strategy))
-      .boolean(options_.scatter.deterministic)
-      .u64(static_cast<std::uint64_t>(resolved_mttkrp_));
+      .boolean(options_.scatter.deterministic);
   // The tuning policy and its applied per-mode picks also change the op
   // bodies' behavior (and fp accumulation order); a policy flip or a
   // different cached decision must recompile the plan.

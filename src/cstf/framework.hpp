@@ -25,6 +25,14 @@
 
 namespace cstf {
 
+/// The MTTKRP engine a run uses. The per-mode BLCO kernels are the only
+/// one (DESIGN.md §13); the value stays nameable for callers that print the
+/// run's decisions.
+enum class MttkrpMode { kFlat };
+
+/// Display name ("flat").
+inline const char* mttkrp_mode_name(MttkrpMode) { return "flat"; }
+
 /// Constraint-update algorithm selection (Sections 4.2-4.3, 5.4).
 enum class UpdateScheme {
   kCuAdmm,      // GPU-optimized ADMM: operation fusion + pre-inversion
@@ -62,30 +70,15 @@ struct FrameworkOptions {
   /// bit-identical repeated runs.
   ScatterOptions scatter;
 
-  /// How MTTKRPs are computed (see mttkrp/dimtree.hpp and DESIGN.md §13):
-  /// kFlat uses the per-mode BLCO kernels, kDimtree the prefix-chain reuse
-  /// engine, and kAuto lets resolve_mttkrp_mode model both over one AO
-  /// iteration on `device` and pick the faster. Under
-  /// `scatter.deterministic` each engine is bit-reproducible run to run,
-  /// and dimtree is additionally bit-identical to the COO reference
-  /// `mttkrp_ref` (the flat BLCO kernel regroups per-row sums by block, so
-  /// the two engines agree to fp tolerance, not bitwise).
-  MttkrpMode mttkrp_mode = MttkrpMode::kAuto;
-
-  /// Byte cap on the dimension tree's nnz x R chain intermediate; over
-  /// budget the engine falls back to the flat kernels (and kAuto resolves
-  /// to flat).
-  double dimtree_budget_bytes = kDefaultDimtreeBudgetBytes;
-
   /// Model per-mode Gram work concurrently with MTTKRP on a second stream
   /// (see AuntfOptions::pipeline_streams). Off by default: serial modeling.
   bool pipeline_streams = false;
 
   /// Autotuning policy and trial protocol (see autotune/tuning.hpp). The
   /// default kModel runs no trials and keeps the cost-model path
-  /// bit-identical; kMeasure/kCached replace the kAuto resolutions above
-  /// with measured per-mode scatter picks, a measured engine choice, and a
-  /// tuned chunk count — consulting/refreshing `tuning.cache_path` when set.
+  /// bit-identical; kMeasure/kCached replace the kAuto scatter resolution
+  /// above with measured per-mode picks and a tuned chunk count —
+  /// consulting/refreshing `tuning.cache_path` when set.
   autotune::TuningOptions tuning;
 
   /// Write a crash-consistent training checkpoint (CSTFCKPT, see
@@ -131,9 +124,8 @@ class CstfFramework {
   const UpdateMethod& update_method() const { return *update_; }
   const BlcoBackend& backend() const { return backend_; }
 
-  /// The MTTKRP mode actually in effect after kAuto resolution (never
-  /// kAuto). `cstf_info --plan` and the benches report this.
-  MttkrpMode resolved_mttkrp_mode() const { return resolved_mttkrp_; }
+  /// The MTTKRP engine in effect (always the per-mode BLCO kernels).
+  MttkrpMode resolved_mttkrp_mode() const { return MttkrpMode::kFlat; }
 
   /// What the autotuner decided for this run (applied=false under kModel).
   const autotune::TuningOutcome& tuning() const { return tuning_outcome_; }
@@ -157,9 +149,9 @@ class CstfFramework {
   void resume_from_checkpoint(const std::string& path);
 
   /// Runs resolve_tuning per `options.tuning` and folds the decision into
-  /// the returned options (per-mode scatter picks, concrete MTTKRP mode,
-  /// chunk count). Called from options_'s member initializer — the tuned
-  /// options must exist before backend_ is constructed from them.
+  /// the returned options (per-mode scatter picks, chunk count). Called
+  /// from options_'s member initializer — the tuned options must exist
+  /// before backend_ is constructed from them.
   static FrameworkOptions apply_tuning(const SparseTensor& tensor,
                                        FrameworkOptions options,
                                        autotune::TuningOutcome* outcome);
@@ -170,7 +162,6 @@ class CstfFramework {
   FrameworkOptions options_;
   simgpu::Device device_;
   BlcoBackend backend_;
-  MttkrpMode resolved_mttkrp_ = MttkrpMode::kFlat;
   std::unique_ptr<UpdateMethod> update_;
   std::unique_ptr<Auntf> driver_;
   bool resumed_ = false;

@@ -8,7 +8,6 @@ namespace cstf::exec {
 const char* op_kind_name(OpKind kind) {
   switch (kind) {
     case OpKind::kMttkrp: return "mttkrp";
-    case OpKind::kDimTreeExtend: return "dimtree-extend";
     case OpKind::kGram: return "gram";
     case OpKind::kHadamardGram: return "hadamard";
     case OpKind::kUpdate: return "update";

@@ -30,8 +30,7 @@ namespace cstf::exec {
 
 /// The op vocabulary of the AO iteration and its variants.
 enum class OpKind {
-  kMttkrp,            // sparse MTTKRP (any backend/engine)
-  kDimTreeExtend,     // dimension-tree chain fold (P_{k+1} = P_k ⊙ H_k)
+  kMttkrp,            // sparse MTTKRP (any backend)
   kGram,              // dsyrk Gram (re)compute of one factor
   kHadamardGram,      // Hadamard-of-Grams assembly (S^(n), Q increments)
   kUpdate,            // constrained factor update (ADMM/MU/HALS/ALS/BPP)

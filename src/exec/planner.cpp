@@ -33,10 +33,6 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     CSTF_CHECK_MSG(spec.fit_capture && spec.fit,
                    "AO plan: compute_fit set but fit bodies missing");
   }
-  if (spec.use_dimtree) {
-    CSTF_CHECK_MSG(spec.dimtree_extend != nullptr,
-                   "AO plan: use_dimtree set but no dimtree_extend body");
-  }
 
   OpGraph g;
   const double r = static_cast<double>(spec.rank);
@@ -58,13 +54,6 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
   }
   const int s_buf = g.add_buffer("s_hadamard", r * r * word());
   const int m_buf = g.add_buffer("mttkrp_out", rows_max * r * word());
-  // The dimension-tree chain intermediate lives alongside the factors for
-  // nearly the whole iteration (first write: extend after mode 0; last read:
-  // the final derive), so declaring it here makes peak_bytes honest about
-  // the reuse engine's footprint.
-  const int chain_buf =
-      spec.use_dimtree ? g.add_buffer("dimtree_chain", spec.dimtree_chain_bytes)
-                       : -1;
   const int scratch_buf =
       g.add_buffer("update_scratch", 2.0 * rows_max * r * word());
   const int lambda_buf = g.add_buffer("lambda", r * word());
@@ -85,7 +74,6 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
   const int gram_lane = spec.pipeline ? 1 : 0;
   int prev_normalize = -1;
   int prev_gram = -1;
-  int prev_extend = -1;
   for (int n = 0; n < spec.num_modes; ++n) {
     Op had;
     had.kind = OpKind::kHadamardGram;
@@ -107,18 +95,8 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     mk.lane = 0;
     if (prev_normalize >= 0) mk.deps.push_back(prev_normalize);
     mk.reads.push_back(tensor_buf);
-    if (spec.use_dimtree && n > 0) {
-      // derive(n) gathers the chain plus only the suffix factors; the prefix
-      // is already folded into the chain by the extend ops.
-      if (prev_extend >= 0) mk.deps.push_back(prev_extend);
-      mk.reads.push_back(chain_buf);
-      for (int m = n + 1; m < spec.num_modes; ++m) {
-        mk.reads.push_back(factor_buf[static_cast<std::size_t>(m)]);
-      }
-    } else {
-      for (int m = 0; m < spec.num_modes; ++m) {
-        if (m != n) mk.reads.push_back(factor_buf[static_cast<std::size_t>(m)]);
-      }
+    for (int m = 0; m < spec.num_modes; ++m) {
+      if (m != n) mk.reads.push_back(factor_buf[static_cast<std::size_t>(m)]);
     }
     mk.writes.push_back(m_buf);
     mk.run = [body = spec.mttkrp, n](ExecContext& ctx) { body(ctx, n); };
@@ -160,26 +138,6 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     nm.writes = {factor_buf[static_cast<std::size_t>(n)], lambda_buf};
     nm.run = [body = spec.normalize, n](ExecContext& ctx) { body(ctx, n); };
     prev_normalize = g.add_op(std::move(nm));
-
-    if (spec.use_dimtree && n < last) {
-      // Fold the freshly-normalized factor into the chain so derive(n+1)
-      // reuses it. MTTKRP phase: the fold is part of the reuse engine's
-      // MTTKRP cost, and metering it there keeps the flat-vs-tree phase
-      // comparison honest.
-      Op ex;
-      ex.kind = OpKind::kDimTreeExtend;
-      ex.name = "dimtree_extend_" + std::to_string(n);
-      ex.phase = phase::kMttkrp;
-      ex.lane = 0;
-      ex.deps = {prev_normalize};
-      ex.reads.push_back(factor_buf[static_cast<std::size_t>(n)]);
-      if (n > 0) ex.reads.push_back(chain_buf);  // in-place fold
-      ex.writes.push_back(chain_buf);
-      ex.run = [body = spec.dimtree_extend, n](ExecContext& ctx) {
-        body(ctx, n + 1);
-      };
-      prev_extend = g.add_op(std::move(ex));
-    }
 
     Op gr;
     gr.kind = OpKind::kGram;

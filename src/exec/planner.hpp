@@ -41,17 +41,6 @@ struct AoIterationSpec {
   double tensor_bytes = 0.0;    ///< device-resident tensor (peak-memory model)
   std::vector<index_t> mode_rows;
 
-  /// Dimension-tree MTTKRP (DESIGN.md §13): when set, the plan adds the
-  /// nnz x R chain intermediate as a buffer (so it participates in lifetimes
-  /// and peak_bytes), shrinks mttkrp_n's factor reads to the suffix the
-  /// derive actually gathers, and emits an explicit kDimTreeExtend op after
-  /// normalize_n that folds the freshly-updated factor into the chain.
-  bool use_dimtree = false;
-  double dimtree_chain_bytes = 0.0;
-  /// Body of the extend op; receives the target chain level (n+1 after
-  /// mode n). Required when use_dimtree is set.
-  std::function<void(ExecContext&, int)> dimtree_extend;
-
   std::function<void(ExecContext&, int)> hadamard;       // S^(n) assembly
   std::function<void(ExecContext&, int)> mttkrp;         // M^(n)
   std::function<void(ExecContext&, int)> update;         // H^(n)

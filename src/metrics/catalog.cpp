@@ -28,9 +28,9 @@ constexpr CatalogEntry kCatalog[] = {
     {"exec.plan_cache.misses", InstrumentType::kCounter, "",
      "1", "Execution-plan cache lookups that rebuilt the plan."},
     {"mttkrp.scatter_cache.hits", InstrumentType::kCounter, "engine",
-     "1", "Scatter-plan cache hits by engine (backend|dimtree)."},
+     "1", "Scatter-plan cache hits (engine is always backend)."},
     {"mttkrp.scatter_cache.misses", InstrumentType::kCounter, "engine",
-     "1", "Scatter-plan cache misses by engine (backend|dimtree)."},
+     "1", "Scatter-plan cache misses (engine is always backend)."},
     {"serve.batch.size", InstrumentType::kHistogram, "",
      "1", "Fold-in batch sizes drained by the batcher."},
     {"serve.batcher.queue_depth", InstrumentType::kGauge, "",

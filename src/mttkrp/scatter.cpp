@@ -18,9 +18,11 @@ constexpr double kSortedContentionThreshold = 8.0;
 
 }  // namespace
 
-void ScatterPlanCache::bump_metrics(bool hit) const {
+void ScatterPlanCache::bump_metrics(bool hit) {
+  // Every plan cache belongs to an MTTKRP backend (or the streaming path,
+  // which drives the same kernels); the label keeps the series name stable.
   auto& reg = metrics::MetricsRegistry::global();
-  const metrics::Labels labels = {{"engine", engine_}};
+  const metrics::Labels labels = {{"engine", "backend"}};
   (hit ? reg.counter("mttkrp.scatter_cache.hits", labels)
        : reg.counter("mttkrp.scatter_cache.misses", labels))
       ->inc();

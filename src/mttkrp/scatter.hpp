@@ -120,12 +120,6 @@ struct ScatterPlan {
 /// the rest of the library).
 class ScatterPlanCache {
  public:
-  /// `engine` tags this cache's series in the process-wide
-  /// mttkrp.scatter_cache.* counters ("backend" for the MTTKRP backends and
-  /// the streaming path, "dimtree" for the dimension-tree engine's cache).
-  /// The per-cache hits()/misses() below are untouched by the tag.
-  explicit ScatterPlanCache(const char* engine = "backend") : engine_(engine) {}
-
   template <typename BuildFn>
   const ScatterPlan& get(int mode, const BuildFn& build) {
     CSTF_CHECK(mode >= 0 && mode < kMaxModes);
@@ -156,11 +150,11 @@ class ScatterPlanCache {
   }
 
  private:
-  /// Mirrors the hit/miss into mttkrp.scatter_cache.*{engine=...} (defined
-  /// in scatter.cpp).
-  void bump_metrics(bool hit) const;
+  /// Mirrors the hit/miss into the process-wide
+  /// mttkrp.scatter_cache.*{engine="backend"} counters (defined in
+  /// scatter.cpp).
+  static void bump_metrics(bool hit);
 
-  const char* engine_;
   std::unique_ptr<ScatterPlan> slots_[kMaxModes];
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

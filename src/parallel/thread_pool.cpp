@@ -47,6 +47,9 @@ void ThreadPool::run(const std::function<void(std::size_t)>& fn) {
     return;
   }
 
+  // External callers take turns: the job/epoch handshake below serves one
+  // region at a time.
+  std::lock_guard<std::mutex> region(run_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_ = &fn;

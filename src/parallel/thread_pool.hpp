@@ -23,9 +23,10 @@ namespace cstf {
 /// Fixed-size worker pool executing blocked index ranges.
 ///
 /// A single process-wide pool (see `global_pool()`) is shared by all modules
-/// so the library never oversubscribes the machine. The pool is safe to use
-/// from one caller at a time (parallel regions do not nest; nested calls run
-/// sequentially on the calling thread, matching OpenMP's default).
+/// so the library never oversubscribes the machine. Any number of threads
+/// may call run(): external callers take turns (one region owns the workers
+/// at a time), and nested calls from inside a region run sequentially on the
+/// calling thread, matching OpenMP's default.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers. `num_threads == 1` creates no worker
@@ -39,11 +40,12 @@ class ThreadPool {
   std::size_t num_threads() const { return num_threads_; }
 
   /// Runs `fn(worker_index)` on every worker (including the caller as worker
-  /// 0) and returns when all have finished. `fn` must be re-entrant across
-  /// workers. Exceptions thrown inside `fn` are captured and the first one is
-  /// rethrown on the caller. Every worker runs `fn` in the caller's
-  /// floating-point mode (common/fp_mode.hpp), so results do not depend on
-  /// which thread computes which element.
+  /// 0) and returns when all have finished. A concurrent external caller
+  /// waits until the region in flight has finished. `fn` must be re-entrant
+  /// across workers. Exceptions thrown inside `fn` are captured and the
+  /// first one is rethrown on the caller. Every worker runs `fn` in the
+  /// caller's floating-point mode (common/fp_mode.hpp), so results do not
+  /// depend on which thread computes which element.
   void run(const std::function<void(std::size_t)>& fn);
 
   /// True while the calling thread is inside a run() region; used to detect
@@ -56,6 +58,7 @@ class ThreadPool {
   std::size_t num_threads_;
   std::vector<std::thread> workers_;
 
+  std::mutex run_mu_;  // held by the external caller that owns the workers
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;

@@ -38,15 +38,6 @@ simgpu::KernelStats scale_stats(const simgpu::KernelStats& stats,
   return scaled;
 }
 
-double modeled_sequence_scaled(const std::vector<simgpu::KernelStats>& seq,
-                               double factor,
-                               const simgpu::DeviceSpec& spec) {
-  std::vector<simgpu::KernelStats> scaled;
-  scaled.reserve(seq.size());
-  for (const auto& stats : seq) scaled.push_back(scale_stats(stats, factor));
-  return simgpu::model_sequence(scaled, spec).total_s;
-}
-
 double modeled_time_scaled(const simgpu::Device& dev, double factor) {
   double total = 0.0;
   for (const auto& [name, stats] : dev.per_kernel()) {

@@ -3,8 +3,6 @@
 // to full-size datasets.
 #pragma once
 
-#include <vector>
-
 #include "simgpu/counters.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/device_spec.hpp"
@@ -33,15 +31,6 @@ double admm_iteration_time(double i_len, double rank,
 /// full-size dataset it stands in for (see DESIGN.md §2).
 simgpu::KernelStats scale_stats(const simgpu::KernelStats& stats,
                                 double factor);
-
-/// Models a kernel sequence at `factor` times its metered size: per-kernel
-/// scale_stats, then per-kernel roofline, summed. The sequence counterpart
-/// of modeled_time_scaled, keeping each kernel's own working set — how the
-/// tree-vs-flat MTTKRP comparison and its bench columns are evaluated at
-/// full dataset scale (see mttkrp/dimtree.hpp).
-double modeled_sequence_scaled(const std::vector<simgpu::KernelStats>& seq,
-                               double factor,
-                               const simgpu::DeviceSpec& spec);
 
 /// Models the device's accumulated record as if every kernel had processed
 /// `factor`-times more data (per-kernel scale_stats, then per-kernel

@@ -1,14 +1,16 @@
 // Shared serving runtime: the simulated device, the host thread pool, and
 // the submission lock that serializes metered work.
 //
-// Both Device::record and ThreadPool::run are single-caller interfaces
-// (the pool's job/epoch handshake and the device's counter maps are not
-// synchronized for concurrent external callers) — which matches the real
+// Device::record is a single-caller interface (the device's counter maps
+// are not synchronized for concurrent callers) — which matches the real
 // system being modeled: one GPU behind one in-order submission context.
 // Serving threads therefore take `submit_mu` around every metered
-// computation. Concurrency does not come from racing kernel launches; it
-// comes from *batching* — coalescing many requests into one fused launch —
-// which is the serving layer's entire performance thesis.
+// computation. The thread pool needs no lock of its own: ThreadPool::run
+// takes concurrent external callers in turn, so a ModelStore::publish that
+// builds snapshot caches on the pool may run beside metered traffic.
+// Concurrency does not come from racing kernel launches; it comes from
+// *batching* — coalescing many requests into one fused launch — which is
+// the serving layer's entire performance thesis.
 #pragma once
 
 #include <mutex>

@@ -81,20 +81,4 @@ TimeBreakdown model_time(const KernelStats& stats, const DeviceSpec& spec) {
   return t;
 }
 
-TimeBreakdown model_sequence(const std::vector<KernelStats>& sequence,
-                             const DeviceSpec& spec) {
-  TimeBreakdown sum;
-  for (const KernelStats& stats : sequence) {
-    const TimeBreakdown t = model_time(stats, spec);
-    sum.compute_s += t.compute_s;
-    sum.memory_s += t.memory_s;
-    sum.serial_s += t.serial_s;
-    sum.atomic_s += t.atomic_s;
-    sum.link_s += t.link_s;
-    sum.launch_s += t.launch_s;
-    sum.total_s += t.total_s;
-  }
-  return sum;
-}
-
 }  // namespace cstf::simgpu

@@ -1,14 +1,12 @@
 // Roofline-style execution-time model over metered kernel statistics.
 #pragma once
 
-#include <vector>
-
 #include "simgpu/counters.hpp"
 #include "simgpu/device_spec.hpp"
 
 namespace cstf::simgpu {
 
-/// Breakdown of one modeled kernel (or kernel-sequence) time.
+/// Breakdown of one modeled kernel time.
 struct TimeBreakdown {
   double compute_s = 0.0;   // flops at achievable throughput
   double memory_s = 0.0;    // effective bytes at achievable bandwidth
@@ -36,15 +34,5 @@ double atomic_contention_factor(double concurrent_lanes, double slots);
 
 /// Models the execution time of `stats` on `spec`.
 TimeBreakdown model_time(const KernelStats& stats, const DeviceSpec& spec);
-
-/// Models a dependent kernel sequence: per-kernel roofline, summed. Unlike
-/// collapsing the sequence into one accumulated KernelStats record (whose
-/// `+=` keeps the *max* working set across launches), this keeps each
-/// kernel's own working set, so a sequence that isolates its random traffic
-/// into small-working-set kernels models faster than the same traffic lumped
-/// together — the reuse-aware comparison behind tree-vs-flat MTTKRP
-/// selection (mttkrp/dimtree.hpp).
-TimeBreakdown model_sequence(const std::vector<KernelStats>& sequence,
-                             const DeviceSpec& spec);
 
 }  // namespace cstf::simgpu

@@ -10,9 +10,12 @@
 #include <vector>
 
 #include "autotune/tuning.hpp"
+#include "common/binio.hpp"
+#include "common/random.hpp"
 #include "cstf/framework.hpp"
 #include "formats/blco.hpp"
-#include "tensor/datasets.hpp"
+#include "mttkrp/blco_mttkrp.hpp"
+#include "simgpu/device.hpp"
 #include "tensor/generate.hpp"
 
 namespace cstf {
@@ -52,8 +55,6 @@ TuningRecord sample_record(int modes) {
     r.scatter_per_mode.push_back(m % 2 == 0 ? ScatterStrategy::kSorted
                                             : ScatterStrategy::kPrivatized);
   }
-  r.mttkrp_mode = MttkrpMode::kDimtree;
-  r.dimtree_budget_bytes = 1234.5;
   r.chunks_per_worker = 8;
   r.batcher_linger_s = 0.0035;
   r.batcher_max_batch = 24;
@@ -71,8 +72,6 @@ TuningRecord sample_record(int modes) {
 
 void expect_records_equal(const TuningRecord& a, const TuningRecord& b) {
   EXPECT_EQ(a.scatter_per_mode, b.scatter_per_mode);
-  EXPECT_EQ(a.mttkrp_mode, b.mttkrp_mode);
-  EXPECT_EQ(a.dimtree_budget_bytes, b.dimtree_budget_bytes);
   EXPECT_EQ(a.chunks_per_worker, b.chunks_per_worker);
   EXPECT_EQ(a.batcher_linger_s, b.batcher_linger_s);
   EXPECT_EQ(a.batcher_max_batch, b.batcher_max_batch);
@@ -212,6 +211,44 @@ TEST(TuningCacheIo, LoadOrEmptyTurnsEveryDefectIntoAnEmptyCache) {
   EXPECT_EQ(missing.size(), 0u);
 }
 
+// A cache written by the previous format (v1, whose records still carried
+// the MTTKRP engine byte and its chain budget) is refused with the typed
+// version error, and a tuned run starts from an empty cache instead.
+TEST(TuningCacheIo, VersionOneFileIsRefusedAndLoadsEmpty) {
+  ASSERT_EQ(autotune::kTuningCacheFormatVersion, 2u);
+  const std::string path = ::testing::TempDir() + "/v1.cstftune";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    HashingWriter w(out);
+    w.write("CSTFTUNE", 8);
+    w.write_pod(std::uint32_t{1});
+    w.write_pod(std::uint64_t{1});  // one entry
+    const TuningKey k = key_of(3);
+    for (std::uint64_t v : {k.device_digest, k.tensor_digest, k.rank,
+                            k.options_digest}) {
+      w.write_pod(v);
+    }
+    w.write_pod(std::uint64_t{3});  // modes
+    for (int m = 0; m < 3; ++m) {
+      w.write_pod(static_cast<std::uint8_t>(ScatterStrategy::kSorted));
+    }
+    w.write_pod(std::uint8_t{1});      // v1: engine byte (flat)
+    w.write_pod(256.0 * 1024 * 1024);  // v1: chain budget
+    w.write_pod(std::uint32_t{0});     // chunks per worker
+    w.write_pod(0.0);                  // batcher linger
+    w.write_pod(std::uint32_t{0});     // batcher max batch
+    for (int i = 0; i < 5; ++i) w.write_pod(0.0);  // rate + evidence
+    w.write_pod(std::uint64_t{7});     // seed
+    w.write_pod(std::uint32_t{1});     // best-of
+    w.write_pod(std::uint64_t{100});   // sample nnz
+    w.write_pod(std::uint64_t{0});     // provenance length
+    const std::uint64_t checksum = w.digest();
+    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  }
+  EXPECT_EQ(load_status(path), ModelIoStatus::kBadVersion);
+  EXPECT_EQ(TuningCache::load_or_empty(path, 4).size(), 0u);
+}
+
 TEST(TuningTrials, SampleIsDeterministicAndBounded) {
   const SparseTensor x = random_tensor({64, 96, 128}, 5000, 21);
   const SparseTensor a = autotune::sample_nonzeros(x, 1000, 5);
@@ -243,7 +280,6 @@ TEST(TuningTrials, DeterministicUnderFixedSeedOnModelClock) {
   const TuningRecord r1 = autotune::run_tuning_trials(in, opts);
   const TuningRecord r2 = autotune::run_tuning_trials(in, opts);
   EXPECT_EQ(r1.scatter_per_mode, r2.scatter_per_mode);
-  EXPECT_EQ(r1.mttkrp_mode, r2.mttkrp_mode);
   EXPECT_EQ(r1.chunks_per_worker, r2.chunks_per_worker);
   EXPECT_EQ(r1.modeled_best_s, r2.modeled_best_s);
   EXPECT_EQ(r1.modeled_model_s, r2.modeled_model_s);
@@ -252,6 +288,50 @@ TEST(TuningTrials, DeterministicUnderFixedSeedOnModelClock) {
   EXPECT_TRUE(autotune::record_applies(r1, in));
   // Without the host clock the chunk sweep has nothing to rank on.
   EXPECT_EQ(r1.chunks_per_worker, 0u);
+}
+
+// The trials time the kernels training runs: on the model clock, the
+// winning configuration's evidence equals one sweep of mttkrp_blco over a
+// BLCO tensor of the same sample, with the same seeded factors. That sweep
+// launches only the BLCO MTTKRP kernels and their output zeroing.
+TEST(TuningTrials, TimeTheBlcoKernelsTrainingRuns) {
+  const SparseTensor x = random_tensor({96, 128, 160}, 4000, 35);
+  TuneInputs in;
+  in.tensor = &x;
+  in.rank = 8;
+  in.spec = simgpu::a100();
+  in.scatter.deterministic = true;  // one candidate per mode: sorted
+  in.block_capacity = 512;
+  TuningOptions opts;
+  opts.use_host_clock = false;
+  opts.best_of = 1;
+  opts.max_sample_nnz = 1000;
+  const TuningRecord rec = autotune::run_tuning_trials(in, opts);
+  ASSERT_EQ(rec.scatter_per_mode,
+            std::vector<ScatterStrategy>(3, ScatterStrategy::kSorted));
+
+  const SparseTensor sample =
+      autotune::sample_nonzeros(x, opts.max_sample_nnz, opts.seed);
+  const BlcoTensor blco(sample, in.block_capacity);
+  Rng rng(opts.seed);
+  std::vector<Matrix> factors;
+  for (int m = 0; m < x.num_modes(); ++m) {
+    factors.emplace_back(x.dim(m), in.rank);
+    factors.back().fill_uniform(rng, 0.0, 1.0);
+  }
+  ScatterOptions sorted = in.scatter;
+  sorted.strategy = ScatterStrategy::kSorted;
+  simgpu::Device dev(in.spec);
+  for (int m = 0; m < x.num_modes(); ++m) {
+    Matrix out(x.dim(m), in.rank);
+    mttkrp_blco(dev, blco, factors, m, out, sorted);
+  }
+  EXPECT_EQ(rec.modeled_best_s, dev.modeled_time_s());
+  EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_sorted"), 1u);
+  for (const auto& [name, stats] : dev.per_kernel()) {
+    EXPECT_TRUE(name.rfind("mttkrp_blco", 0) == 0 || name == "mttkrp_zero_out")
+        << name;
+  }
 }
 
 TEST(TuningTrials, RecordAppliesValidation) {
@@ -264,7 +344,6 @@ TEST(TuningTrials, RecordAppliesValidation) {
   TuningRecord good;
   good.scatter_per_mode = {ScatterStrategy::kSorted, ScatterStrategy::kAtomic,
                            ScatterStrategy::kPrivatized};
-  good.mttkrp_mode = MttkrpMode::kFlat;
   good.chunks_per_worker = 4;
   EXPECT_TRUE(autotune::record_applies(good, in));
 
@@ -276,19 +355,9 @@ TEST(TuningTrials, RecordAppliesValidation) {
   has_auto.scatter_per_mode[1] = ScatterStrategy::kAuto;
   EXPECT_FALSE(autotune::record_applies(has_auto, in));
 
-  TuningRecord auto_engine = good;
-  auto_engine.mttkrp_mode = MttkrpMode::kAuto;
-  EXPECT_FALSE(autotune::record_applies(auto_engine, in));
-
   TuneInputs det = in;
   det.scatter.deterministic = true;
   EXPECT_FALSE(autotune::record_applies(good, det));  // entry 1 is atomic
-
-  TuningRecord tree = good;
-  tree.mttkrp_mode = MttkrpMode::kDimtree;
-  TuneInputs tiny_budget = in;
-  tiny_budget.dimtree_budget_bytes = 1.0;
-  EXPECT_FALSE(autotune::record_applies(tree, tiny_budget));
 
   TuneInputs no_scratch = in;
   no_scratch.scatter.privatization_budget_bytes = 1.0;
@@ -338,7 +407,6 @@ TEST(TuningResolve, CachedSecondRunHitsWithoutTrials) {
   EXPECT_FALSE(second.trials_run);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.record.scatter_per_mode, first.record.scatter_per_mode);
-  EXPECT_EQ(second.record.mttkrp_mode, first.record.mttkrp_mode);
 
   // Counter-verified against the persisted file directly.
   TuningCache cache = TuningCache::load(path);
@@ -433,41 +501,6 @@ TEST(DecisionGolden, PerModeOverridesWinUnlessIllegal) {
             ScatterStrategy::kSorted);
 }
 
-// Golden decision table for the engine resolver: the budget cap is exact,
-// and the full-scale analog decisions pin the roofline comparison on both a
-// default and a forced-sorted scatter configuration.
-TEST(DecisionGolden, MttkrpModeTable) {
-  const SparseTensor small = random_tensor({29, 31, 23}, 1000, 73);
-  const auto spec = simgpu::a100();
-
-  // Chain over budget -> flat, regardless of everything else.
-  EXPECT_EQ(resolve_mttkrp_mode(small, 8, ScatterOptions{}, spec, 1.0),
-            MttkrpMode::kFlat);
-
-  const index_t rank = 32;
-  const auto decide = [&](const char* name, const ScatterOptions& opts) {
-    const DatasetAnalog data = make_analog(name);
-    const BlcoTensor blco(data.tensor);
-    return resolve_mttkrp_mode(data.tensor, rank, opts, spec,
-                               kDefaultDimtreeBudgetBytes,
-                               blco.storage_bytes(), data.nnz_scale());
-  };
-  const ScatterOptions defaults;
-  ScatterOptions sorted;
-  sorted.strategy = ScatterStrategy::kSorted;
-  // Cache-resident factors (NIPS/Uber): random traffic is nearly free, the
-  // chain streaming only adds cost -> flat. Long-mode 4-way tensors: the
-  // suffix derives shrink the working set -> dimtree. The forced-sorted
-  // configuration prices both engines' scatters identically, so the
-  // decisions must not flip.
-  EXPECT_EQ(decide("NIPS", defaults), MttkrpMode::kFlat);
-  EXPECT_EQ(decide("NIPS", sorted), MttkrpMode::kFlat);
-  EXPECT_EQ(decide("Uber", defaults), MttkrpMode::kFlat);
-  EXPECT_EQ(decide("Chicago", defaults), MttkrpMode::kDimtree);
-  EXPECT_EQ(decide("Chicago", sorted), MttkrpMode::kDimtree);
-  EXPECT_EQ(decide("Delicious", defaults), MttkrpMode::kDimtree);
-}
-
 TEST(BatcherTuner, DegenerateCalibrationKeepsDefaults) {
   const BatcherTuning t = autotune::tune_fold_in_batcher(BatcherCalibration{});
   EXPECT_EQ(t.max_batch, 64u);
@@ -551,7 +584,6 @@ TEST(TuningFramework, MeasurePolicyAppliesConcreteDecision) {
   for (ScatterStrategy s : out.record.scatter_per_mode) {
     EXPECT_NE(s, ScatterStrategy::kAuto);
   }
-  EXPECT_NE(framework.resolved_mttkrp_mode(), MttkrpMode::kAuto);
   framework.ktensor().validate();
 }
 

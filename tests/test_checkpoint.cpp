@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "cstf/checkpoint.hpp"
 #include "cstf/framework.hpp"
 #include "simgpu/fault.hpp"
@@ -252,6 +253,44 @@ TEST(Checkpoint, CorruptionYieldsTypedErrors) {
   }
   // The original is still intact after all that.
   EXPECT_NO_THROW(load_checkpoint(good));
+}
+
+// A checkpoint written at format v4 (whose options digest still covered the
+// retired MTTKRP engine fields) is refused with the typed version error, by
+// the loader and by a resuming framework, even with a valid checksum.
+TEST(Checkpoint, VersionFourFileIsRefused) {
+  ASSERT_EQ(kCheckpointFormatVersion, 5u);
+  const SparseTensor tensor = make_tensor();
+  FrameworkOptions options = base_options();
+  options.max_iterations = 2;
+  CstfFramework framework(tensor, options);
+  framework.run();
+  const std::string path = ::testing::TempDir() + "/v4.ckpt";
+  framework.write_checkpoint(path);
+
+  // Restamp the version (u32 at offset 8) and re-seal the trailing FNV-1a,
+  // so the only defect is the version itself.
+  std::vector<char> bytes = read_bytes(path);
+  ASSERT_GT(bytes.size(), 16u);
+  const std::uint32_t v4 = 4;
+  std::memcpy(bytes.data() + 8, &v4, sizeof(v4));
+  const std::size_t body = bytes.size() - sizeof(std::uint64_t);
+  const std::uint64_t checksum =
+      fnv1a64(bytes.data(), body, 0xcbf29ce484222325ULL);
+  std::memcpy(bytes.data() + body, &checksum, sizeof(checksum));
+  write_bytes(path, bytes);
+  EXPECT_EQ(load_status(path), ModelIoStatus::kBadVersion);
+
+  FrameworkOptions resume = base_options();
+  resume.max_iterations = 4;
+  resume.resume_from = path;
+  CstfFramework resumed(tensor, resume);
+  try {
+    resumed.run();
+    FAIL() << "resume from a v4 checkpoint should have been refused";
+  } catch (const ModelIoError& e) {
+    EXPECT_EQ(e.status(), ModelIoStatus::kBadVersion);
+  }
 }
 
 TEST(Checkpoint, NonFiniteFactorsAreRejectedAsInvalidModel) {

@@ -486,108 +486,11 @@ TEST(Framework, BackendResolvesAutoAndCachesSortedPlans) {
   }
 }
 
-TEST(Framework, DimtreeMatchesFlatAndIsDeterministicEndToEnd) {
-  // End-to-end guarantees of the reuse engine: (a) a dimtree run is
-  // bit-reproducible under deterministic scatter, (b) it agrees with the
-  // flat engine to fp tolerance (the flat path is the BLCO kernel, whose
-  // block ordering regroups the per-row sums, so the two engines are only
-  // bitwise-equal against the *COO reference* order — which the dimtree
-  // backend is, see DimtreeBackendIsBitIdenticalToCooReference).
-  LowRankTensorParams params;
-  params.dims = {21, 11, 17, 9};
-  params.rank = 4;
-  params.target_nnz = 21 * 11 * 17 * 9;
-  params.noise = 0.01;
-  params.seed = 31;
-  const LowRankTensor lr = generate_low_rank(params);
-
-  FrameworkOptions options;
-  options.rank = 4;
-  options.max_iterations = 3;
-  options.seed = 5;
-  options.scatter.deterministic = true;
-
-  auto run_mode = [&](MttkrpMode mode) {
-    FrameworkOptions o = options;
-    o.mttkrp_mode = mode;
-    CstfFramework framework(lr.tensor, o);
-    framework.run();
-    EXPECT_EQ(framework.resolved_mttkrp_mode(), mode);
-    EXPECT_EQ(framework.backend().dimtree() != nullptr,
-              mode == MttkrpMode::kDimtree);
-    return framework.ktensor();
-  };
-  const KTensor flat = run_mode(MttkrpMode::kFlat);
-  const KTensor tree = run_mode(MttkrpMode::kDimtree);
-  const KTensor tree2 = run_mode(MttkrpMode::kDimtree);
-  ASSERT_EQ(flat.num_modes(), tree.num_modes());
-  for (int m = 0; m < flat.num_modes(); ++m) {
-    EXPECT_DOUBLE_EQ(max_abs_diff(tree.factors[m], tree2.factors[m]), 0.0)
-        << "mode " << m;
-    EXPECT_LT(max_abs_diff(flat.factors[m], tree.factors[m]), 1e-10)
-        << "mode " << m;
-  }
-  EXPECT_EQ(tree.lambda, tree2.lambda);
-}
-
-TEST(Framework, DimtreeBackendIsBitIdenticalToCooReference) {
-  // The acceptance bar: with deterministic scatter, the dimtree-enabled
-  // BLCO backend reproduces mttkrp_ref bit for bit on every mode — chain
-  // derives and the mode-0 from-raw path both fold factors in the
-  // reference's ascending order and accumulate in ascending nonzero id.
-  const LowRankTensor lr = make_low_rank(23);
-  ScatterOptions scatter;
-  scatter.deterministic = true;
-  BlcoBackend backend(lr.tensor, 4096, scatter);
-  backend.enable_dimtree(lr.tensor, 4);
-  simgpu::Device dev(simgpu::a100());
-  Rng rng(19);
-  std::vector<Matrix> factors;
-  for (int m = 0; m < backend.num_modes(); ++m) {
-    factors.emplace_back(backend.dim(m), 4);
-    factors.back().fill_uniform(rng, 0.1, 1.0);
-  }
-  for (int mode = 0; mode < backend.num_modes(); ++mode) {
-    Matrix got(backend.dim(mode), 4), want(backend.dim(mode), 4);
-    backend.mttkrp(dev, factors, mode, got);
-    mttkrp_ref(lr.tensor, factors, mode, want);
-    EXPECT_DOUBLE_EQ(max_abs_diff(got, want), 0.0) << "mode " << mode;
-  }
-}
-
-TEST(Framework, DimtreePlanAccountsForChainInPeakBytes) {
-  // The chain intermediate must be a first-class plan buffer: visible in
-  // the DAG dump, alive across the iteration, and included in peak_bytes —
-  // that is what keeps the budget/OOM reasoning honest.
-  const LowRankTensor lr = make_low_rank(17);
-  FrameworkOptions flat_opts;
-  flat_opts.rank = 6;
-  flat_opts.mttkrp_mode = MttkrpMode::kFlat;
-  CstfFramework flat(lr.tensor, flat_opts);
-
-  FrameworkOptions tree_opts = flat_opts;
-  tree_opts.mttkrp_mode = MttkrpMode::kDimtree;
-  CstfFramework tree(lr.tensor, tree_opts);
-
-  const DimTreeEngine* engine = tree.backend().dimtree();
-  ASSERT_NE(engine, nullptr);
-  EXPECT_TRUE(engine->chain_fits());
-  EXPECT_GE(tree.device_footprint_bytes(),
-            flat.device_footprint_bytes() + engine->chain_bytes());
-
-  const std::string dump = tree.driver().plan().describe();
-  EXPECT_NE(dump.find("dimtree_chain"), std::string::npos);
-  EXPECT_NE(dump.find("dimtree_extend_0"), std::string::npos);
-  EXPECT_EQ(flat.driver().plan().describe().find("dimtree_chain"),
-            std::string::npos);
-}
-
 TEST(Framework, UnequalModeSizesKeepMttkrpWorkspaceExact) {
   // Regression for the shared m_out workspace: with mode sizes that are not
   // monotonically ordered, the per-mode resize/validate must hand every
   // update an exactly dim(n) x R MTTKRP result — a workspace sized for the
-  // largest mode and merely reused would expose stale trailing rows. Flat
-  // and dimtree must agree through the non-monotone sequence.
+  // largest mode and merely reused would expose stale trailing rows.
   LowRankTensorParams params;
   params.dims = {31, 7, 23, 5};  // large, small, large, small
   params.rank = 3;
@@ -601,22 +504,14 @@ TEST(Framework, UnequalModeSizesKeepMttkrpWorkspaceExact) {
   options.max_iterations = 3;
   options.scatter.deterministic = true;
 
-  auto run_mode = [&](MttkrpMode mode) {
-    FrameworkOptions o = options;
-    o.mttkrp_mode = mode;
-    CstfFramework framework(lr.tensor, o);
-    framework.run();
-    return framework.ktensor();
-  };
-  const KTensor flat = run_mode(MttkrpMode::kFlat);
-  const KTensor tree = run_mode(MttkrpMode::kDimtree);
-  for (int m = 0; m < flat.num_modes(); ++m) {
-    EXPECT_EQ(flat.factors[m].rows(), lr.tensor.dim(m));
-    EXPECT_LT(max_abs_diff(flat.factors[m], tree.factors[m]), 1e-10)
-        << "mode " << m;
-    for (index_t j = 0; j < flat.factors[m].cols(); ++j) {
-      for (index_t i = 0; i < flat.factors[m].rows(); ++i) {
-        EXPECT_TRUE(std::isfinite(flat.factors[m](i, j)));
+  CstfFramework framework(lr.tensor, options);
+  framework.run();
+  const KTensor model = framework.ktensor();
+  for (int m = 0; m < model.num_modes(); ++m) {
+    EXPECT_EQ(model.factors[m].rows(), lr.tensor.dim(m));
+    for (index_t j = 0; j < model.factors[m].cols(); ++j) {
+      for (index_t i = 0; i < model.factors[m].rows(); ++i) {
+        EXPECT_TRUE(std::isfinite(model.factors[m](i, j)));
       }
     }
   }

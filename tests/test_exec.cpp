@@ -4,8 +4,10 @@
 // and the stability of the persisted options digests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/digest.hpp"
@@ -18,6 +20,7 @@
 #include "serve/fold_in.hpp"
 #include "serve/model_io.hpp"
 #include "serve/model_store.hpp"
+#include "serve/query_engine.hpp"
 #include "serve/runtime.hpp"
 #include "simgpu/device.hpp"
 #include "streaming/streaming_cstf.hpp"
@@ -392,6 +395,88 @@ TEST(PlanCacheTest, FoldInRecompilesOnSnapshotOrBatchShapeChange) {
   EXPECT_EQ(engine.plan_cache().misses(), 3);
 }
 
+// ModelStore::publish builds the snapshot's Grams and Cholesky factors on
+// the shared thread pool while predict and fold-in traffic runs on it too.
+// The publisher holds no serving lock: the pool itself must take the
+// concurrent regions in turn (run under TSan by the exec label). Sizes are
+// chosen so every side reaches the pool: a rank-32 Gram spans several
+// units, a 2048-query predict batch exceeds the parallel grain, and a
+// fold-in batch parallelizes over its rows.
+TEST(ServeConcurrency, PublishDuringPredictAndFoldInTraffic) {
+  const index_t rank = 32;
+  const std::vector<index_t> rows = {3000, 2500, 2000};
+  auto make_saved = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    serve::SavedModel saved;
+    saved.meta.name = "hot";
+    for (index_t n : rows) {
+      saved.model.factors.emplace_back(n, rank);
+      saved.model.factors.back().fill_uniform(rng, 0.1, 1.0);
+    }
+    saved.model.lambda.assign(static_cast<std::size_t>(rank), 1.0);
+    saved.meta.set_constraint(Proximity::non_negative());
+    return saved;
+  };
+
+  serve::ModelStore store;
+  store.publish(make_saved(1));
+  simgpu::Device device(simgpu::a100());
+  serve::ServeRuntime runtime(device, global_pool());
+  serve::QueryEngine queries(runtime);
+  serve::FoldInEngine folds(runtime);
+
+  std::vector<index_t> coords;
+  for (index_t q = 0; q < 2048; ++q) {
+    for (index_t n : rows) coords.push_back((q * 7919) % n);
+  }
+  std::vector<serve::FoldInRequest> batch(8);
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    batch[b].mode = 0;
+    const auto row = static_cast<index_t>(b);
+    batch[b].coords = {row, 7, 11 + row, 13};
+    batch[b].values = {0.5, 0.9};
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_results{0};
+  std::atomic<int> served{0};
+  std::thread predict_traffic([&] {
+    while (!stop.load()) {
+      const serve::ServableModelPtr snap = store.get("hot");
+      for (real_t v : queries.predict(*snap, coords)) {
+        if (!std::isfinite(v)) bad_results.fetch_add(1);
+      }
+      served.fetch_add(1);
+    }
+  });
+  std::thread fold_in_traffic([&] {
+    while (!stop.load()) {
+      const serve::ServableModelPtr snap = store.get("hot");
+      for (const serve::FoldInResult& r : folds.fold_in_batch(*snap, batch)) {
+        if (r.row.size() != static_cast<std::size_t>(rank)) {
+          bad_results.fetch_add(1);
+        }
+        for (real_t v : r.row) {
+          if (!std::isfinite(v) || v < 0.0) bad_results.fetch_add(1);
+        }
+      }
+      served.fetch_add(1);
+    }
+  });
+
+  std::uint64_t last_generation = 0;
+  for (std::uint64_t p = 0; p < 20; ++p) {
+    last_generation = store.publish(make_saved(10 + p))->generation();
+  }
+  while (served.load() < 20) std::this_thread::yield();
+  stop.store(true);
+  predict_traffic.join();
+  fold_in_traffic.join();
+
+  EXPECT_EQ(bad_results.load(), 0);
+  EXPECT_EQ(store.get("hot")->generation(), last_generation);
+}
+
 // ---------------------------------------------------------------------------
 // Digest stability: these values are persisted inside CSTFCKPT checkpoints
 // and CSTF model files — changing them orphans existing artifacts. The
@@ -414,12 +499,11 @@ TEST(DigestStability, BuilderEncodingIsPinned) {
 
 TEST(DigestStability, TrainingDigestIgnoresConvergenceAndCheckpointKnobs) {
   FrameworkOptions base;
-  // Pinned for checkpoint format v4 (v2 added mttkrp_mode, v3 added
-  // dimtree_budget_bytes — under auto the budget decides which engine the
-  // resolver picks, and flat vs dimtree differ in accumulation order —
-  // and v4 added the autotuning policy, per-mode scatter picks, and the
-  // parallel chunk knob, all of which shape fp accumulation order).
-  EXPECT_EQ(digest_training_options(base), 0x82f78186c1f13b32ULL);
+  // Pinned for checkpoint format v5. v4 added the autotuning policy,
+  // per-mode scatter picks, and the parallel chunk knob, all of which shape
+  // fp accumulation order; v5 dropped the MTTKRP engine selection and its
+  // chain budget, because the per-mode BLCO kernels are the only engine.
+  EXPECT_EQ(digest_training_options(base), 0x5c55fce42f171831ULL);
 
   FrameworkOptions resumable = base;
   resumable.max_iterations = 500;
@@ -441,14 +525,6 @@ TEST(DigestStability, TrainingDigestIgnoresConvergenceAndCheckpointKnobs) {
   FrameworkOptions different_scatter = base;
   different_scatter.scatter.strategy = ScatterStrategy::kSorted;
   EXPECT_NE(digest_training_options(different_scatter),
-            digest_training_options(base));
-  FrameworkOptions different_mttkrp = base;
-  different_mttkrp.mttkrp_mode = MttkrpMode::kDimtree;
-  EXPECT_NE(digest_training_options(different_mttkrp),
-            digest_training_options(base));
-  FrameworkOptions different_budget = base;
-  different_budget.dimtree_budget_bytes = 1.0;
-  EXPECT_NE(digest_training_options(different_budget),
             digest_training_options(base));
   FrameworkOptions different_policy = base;
   different_policy.tuning.policy = autotune::TuningPolicy::kMeasure;

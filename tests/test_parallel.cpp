@@ -51,6 +51,30 @@ TEST(ThreadPool, ReusableAcrossManyRuns) {
   EXPECT_EQ(total.load(), 150);
 }
 
+TEST(ThreadPool, ConcurrentExternalCallersTakeTurns) {
+  // Several threads drive one pool at once. Every region must still run
+  // each worker index exactly once, with its own job: callers take turns
+  // instead of sharing the workers' handshake.
+  ThreadPool pool(4);
+  constexpr int kCallers = 3;
+  constexpr int kRuns = 200;
+  std::atomic<int> bad_regions{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int r = 0; r < kRuns; ++r) {
+        std::vector<std::atomic<int>> hits(pool.num_threads());
+        pool.run([&](std::size_t w) { hits[w].fetch_add(1); });
+        for (const auto& h : hits) {
+          if (h.load() != 1) bad_regions.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad_regions.load(), 0);
+}
+
 TEST(ThreadPool, WorkerExceptionPropagatesToCaller) {
   ThreadPool pool(4);
   EXPECT_THROW(

@@ -13,11 +13,6 @@
 //   --device D          a100 | h100 | xeon (cost-model target, default a100)
 //   --scatter S         auto | atomic | privatized | sorted — MTTKRP output
 //                       accumulation strategy (default auto; see DESIGN.md §8)
-//   --mttkrp M          auto | flat | dimtree — MTTKRP engine: flat per-mode
-//                       kernels or the dimension-tree reuse engine; auto
-//                       models both and picks per tensor (DESIGN.md §13)
-//   --dimtree-budget B  byte cap on the dimension tree's chain intermediate
-//                       (default 256 MiB; over budget falls back to flat)
 //   --tune P            model | cached | measure — autotuning policy
 //                       (default model = cost model only; cached/measure run
 //                       seeded micro-trials, see DESIGN.md §14)
@@ -50,7 +45,6 @@
 //   --metrics-out FILE  dump the process metrics registry (kernel totals,
 //                       cache hit/miss counters, op-duration histograms) in
 //                       Prometheus text format after the run
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,8 +73,6 @@ using namespace cstf;
                "box:LO,HI|simplex|smooth:W]\n"
                "                [--device a100|h100|xeon]"
                " [--scatter auto|atomic|privatized|sorted]\n"
-               "                [--mttkrp auto|flat|dimtree]"
-               " [--dimtree-budget BYTES]\n"
                "                [--tune model|cached|measure]"
                " [--tuning-cache FILE]\n"
                "                [--deterministic] [--seed N]"
@@ -173,23 +165,6 @@ int main(int argc, char** argv) {
         usage(("unknown scatter strategy: " + spec).c_str());
       }
     }
-    else if (arg == "--mttkrp") {
-      const std::string spec = value();
-      if (!parse_mttkrp_mode(spec, &options.mttkrp_mode)) {
-        usage(("unknown mttkrp mode: " + spec).c_str());
-      }
-    }
-    else if (arg == "--dimtree-budget") {
-      const std::string spec = value();
-      char* end = nullptr;
-      const double bytes = std::strtod(spec.c_str(), &end);
-      if (end == spec.c_str() || *end != '\0' || !(bytes > 0.0) ||
-          !std::isfinite(bytes)) {
-        usage(("--dimtree-budget must be a positive byte count, got: " + spec)
-                  .c_str());
-      }
-      options.dimtree_budget_bytes = bytes;
-    }
     else if (arg == "--tune") {
       const std::string spec = value();
       if (!autotune::parse_tuning_policy(spec, &options.tuning.policy)) {
@@ -243,10 +218,6 @@ int main(int argc, char** argv) {
     }
 
     CstfFramework framework(tensor, options);
-    std::printf("mttkrp engine: %s%s\n",
-                mttkrp_mode_name(framework.resolved_mttkrp_mode()),
-                options.mttkrp_mode == MttkrpMode::kAuto
-                    ? " (auto-resolved)" : "");
     const autotune::TuningOutcome& tuned = framework.tuning();
     if (tuned.applied) {
       std::printf("autotune (%s): %s, chunks/worker %u, scatter",

@@ -10,12 +10,9 @@
 // format.
 //
 // With --plan, additionally compiles one AO iteration for the tensor (at
-// --rank, optionally --pipeline, optionally --mttkrp auto|flat|dimtree) and
-// dumps the execution graph: ops with lane assignment and event edges,
-// buffer lifetimes, and the peak device-memory estimate
-// CstfFramework::device_footprint_bytes() reports. When the dimension-tree
-// engine is in effect the dump is followed by the chosen tree: node shapes,
-// reuse factor, and intermediate bytes against the budget (DESIGN.md §13).
+// --rank, optionally --pipeline) and dumps the execution graph: ops with
+// lane assignment and event edges, buffer lifetimes, and the peak
+// device-memory estimate CstfFramework::device_footprint_bytes() reports.
 //
 // With --metrics (standalone, no tensor needed), prints the process metrics
 // catalog: every instrument the codebase registers, with type, labels,
@@ -42,8 +39,7 @@ using namespace cstf;
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: cstf_info (--input FILE.tns | --dataset NAME) "
-               "[--rank N] [--plan] [--pipeline] "
-               "[--mttkrp auto|flat|dimtree]\n"
+               "[--rank N] [--plan] [--pipeline]\n"
                "       cstf_info --metrics\n");
   std::exit(2);
 }
@@ -69,7 +65,6 @@ int main(int argc, char** argv) {
   bool show_plan = false;
   bool pipeline = false;
   bool show_metrics = false;
-  MttkrpMode mttkrp_mode = MttkrpMode::kAuto;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -82,9 +77,6 @@ int main(int argc, char** argv) {
     else if (arg == "--plan") show_plan = true;
     else if (arg == "--pipeline") pipeline = true;
     else if (arg == "--metrics") show_metrics = true;
-    else if (arg == "--mttkrp") {
-      if (!parse_mttkrp_mode(value(), &mttkrp_mode)) usage();
-    }
     else usage();
   }
   if (show_metrics && input.empty() && dataset.empty()) {
@@ -163,26 +155,15 @@ int main(int argc, char** argv) {
       FrameworkOptions opts;
       opts.rank = rank;
       opts.pipeline_streams = pipeline;
-      opts.mttkrp_mode = mttkrp_mode;
       CstfFramework framework(t, opts);
-      std::printf("\ncompiled AO iteration (rank %lld%s, mttkrp %s%s):\n%s",
+      std::printf("\ncompiled AO iteration (rank %lld%s):\n%s",
                   static_cast<long long>(rank),
                   pipeline ? ", pipelined" : "",
-                  mttkrp_mode_name(framework.resolved_mttkrp_mode()),
-                  mttkrp_mode == MttkrpMode::kAuto ? ", auto-resolved" : "",
                   framework.driver().plan().describe().c_str());
       std::printf("device footprint (plan peak): %.3e bytes\n",
                   framework.device_footprint_bytes());
-      if (const DimTreeEngine* tree = framework.backend().dimtree()) {
-        std::printf("\n%s", describe_dimtree(*tree).c_str());
-      } else {
-        std::printf("\nmttkrp engine: flat per-mode kernels "
-                    "(no dimension tree; rerun with --mttkrp dimtree to "
-                    "force one)\n");
-      }
       // Cache telemetry: the AO plan cache (one compile per option set) and
-      // the scatter plan cache (one resolve per (mode, shape)). The dimtree
-      // engine keeps its own scatter-plan cache for the chain kernels.
+      // the scatter plan cache (one resolve per (mode, shape)).
       const exec::PlanCache& plans = framework.driver().plan_cache();
       std::printf("\nplan cache: %lld hits, %lld misses\n",
                   static_cast<long long>(plans.hits()),
@@ -191,11 +172,6 @@ int main(int argc, char** argv) {
       std::printf("scatter plan cache: %lld hits, %lld misses\n",
                   static_cast<long long>(scatter_plans.hits()),
                   static_cast<long long>(scatter_plans.misses()));
-      if (const DimTreeEngine* tree = framework.backend().dimtree()) {
-        std::printf("dimtree scatter plan cache: %lld hits, %lld misses\n",
-                    static_cast<long long>(tree->scatter_plans().hits()),
-                    static_cast<long long>(tree->scatter_plans().misses()));
-      }
     }
     if (show_metrics) {
       std::printf("\n");

@@ -107,10 +107,9 @@ simgpu::DeviceSpec parse_device(const std::string& spec) {
   usage(("unknown device: " + spec).c_str());
 }
 
-// Strict numeric flag parsing (same discipline as cstf_cli
-// --dimtree-budget): the whole token must parse and land in range; trailing
-// garbage, overflow, and out-of-range values are rejected instead of
-// silently truncating to 0 the way atoi would.
+// Strict numeric flag parsing: the whole token must parse and land in
+// range; trailing garbage, overflow, and out-of-range values are rejected
+// instead of silently truncating to 0 the way atoi would.
 long long parse_count_flag(const std::string& arg, const std::string& spec,
                            long long min_value) {
   char* end = nullptr;

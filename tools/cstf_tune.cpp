@@ -6,8 +6,8 @@
 // For every tensor the tool runs the autotuning resolution exactly the way a
 // training run would (CstfFramework construction under the chosen policy),
 // executes one training iteration with the decided configuration, and prints
-// one decision-table row: the per-mode scatter picks, the MTTKRP engine, the
-// chunk knob, and the measured/modeled evidence behind the decision. With a
+// one decision-table row: the per-mode scatter picks, the chunk knob, and
+// the measured/modeled evidence behind the decision. With a
 // --tuning-cache file the decisions persist, so later cstf_cli/cstf_serve
 // runs with --tune cached skip the trials entirely.
 //
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
   cstf::bench::JsonSession session("tune");
   int not_cached = 0;
   try {
-    std::printf("%-12s %10s %8s %-8s %7s %12s %12s  %s\n", "tensor", "nnz",
-                "source", "engine", "chunks", "measured[ms]", "model[ms]",
+    std::printf("%-12s %10s %8s %7s %12s %12s  %s\n", "tensor", "nnz",
+                "source", "chunks", "measured[ms]", "model[ms]",
                 "scatter per mode");
     for (const auto& [name, is_file] : sources) {
       const SparseTensor tensor =
@@ -128,10 +128,10 @@ int main(int argc, char** argv) {
         if (!scatter.empty()) scatter += ' ';
         scatter += scatter_strategy_name(s);
       }
-      std::printf("%-12s %10lld %8s %-8s %7u %12.3f %12.3f  %s\n",
+      std::printf("%-12s %10lld %8s %7u %12.3f %12.3f  %s\n",
                   name.c_str(), static_cast<long long>(tensor.nnz()),
                   outcome.cache_hit ? "cache" : "trials",
-                  mttkrp_mode_name(rec.mttkrp_mode), rec.chunks_per_worker,
+                  rec.chunks_per_worker,
                   rec.measured_best_s * 1e3, rec.measured_model_s * 1e3,
                   scatter.c_str());
 
